@@ -25,8 +25,7 @@ from .extension import (ExtensionVector, adjoint_kernel_map, build_G,
                         range_test, rh_residual)
 from .factorization import (FactorizationResult, build_g_lambda, build_g_r,
                             build_g_tilde, canonical_factors, hminus_split,
-                            l2_factors, l2_factors_tilde, meromorphic_factors,
-                            resolvent_apply,
+                            l2_factors, meromorphic_factors, resolvent_apply,
                             verify_factorization)
 from .hankel import (analytic_spectrum, hankel_norm,
                      shift_essential_spectrum_formula, triangular_w_inverse)
@@ -53,7 +52,7 @@ __all__ = [
     "solve_theta_equals",
     "essential_spectrum", "classify", "FactorizationResult",
     "build_g_lambda", "build_g_r", "build_g_tilde", "canonical_factors",
-    "meromorphic_factors", "hminus_split", "l2_factors", "l2_factors_tilde",
+    "meromorphic_factors", "hminus_split", "l2_factors",
     "verify_factorization", "resolvent_apply", "hankel_norm",
     "Scenario", "parse_scenario", "parse_scenario_text", "build_space",
     "analytic_spectrum", "triangular_w_inverse",

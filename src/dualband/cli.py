@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -243,15 +242,6 @@ _TASKS = {
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _worker_count(n_tasks):
-    raw = os.environ.get("DUALBAND_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, n_tasks))
-
-
 def run_scenario(scn, opts, fail_fast=False):
     """Run a scenario's tasks; returns (report dict, exit code)."""
     tasks = opts.get("tasks") or scn.tasks
@@ -261,8 +251,7 @@ def run_scenario(scn, opts, fail_fast=False):
 
     results = {}
     timings = {}
-
-    def run_one(name):
+    for name in tasks:
         t0 = time.perf_counter()
         try:
             res = _TASKS[name](space, scn, opts)
@@ -270,21 +259,10 @@ def run_scenario(scn, opts, fail_fast=False):
             res = {"ok": False, "input_error": True,
                    "error": f"{type(exc).__name__}: {exc}",
                    "violations": []}
-        return name, res, time.perf_counter() - t0
-
-    workers = 1 if fail_fast else _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for name, res, dt in pool.map(run_one, tasks):
-                results[name] = res
-                timings[name] = dt
-    else:
-        for task in tasks:
-            name, res, dt = run_one(task)
-            results[name] = res
-            timings[name] = dt
-            if fail_fast and not res["ok"]:
-                break
+        results[name] = res
+        timings[name] = time.perf_counter() - t0
+        if fail_fast and not res["ok"]:
+            break
 
     timings["total"] = time.perf_counter() - t_start
     report = {

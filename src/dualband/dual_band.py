@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DegeneracyError, MissingDecompositionError,
                      OrthogonalityError, UnimodularityError)
 from .model_space import ModelSpaceBasis, OperatorMatrix, ctheta_matrix, tto_matrix
-from .symbols import InnerFunction, LaurentSymbol
+from .symbols import InnerFunction, LaurentSymbol, memo
 
 TOL_ORTHO = 1e-10
 TOL_UNIMOD = 1e-10
@@ -54,7 +54,7 @@ class DualBandSpace:
         self.mode = mode
         self.report = report
         self.n = basis.n
-        self._band_cache = {}
+        self._band_samples = {}
 
     # ------------------------------------------------------------ sampling
     def band_values(self, G):
@@ -62,20 +62,15 @@ class DualBandSpace:
         if self.mode != "realized":
             raise MissingDecompositionError(
                 "band samples need a realized space")
-        got = self._band_cache.get(G)
-        if got is not None:
-            return got
-        V = self.basis.values(G)
-        pv = self.phi.sample(G)
-        sv = self.psi.sample(G)
-        B = np.vstack([V * pv, V * sv])
-        self._band_cache[G] = B
-        return B
+        return memo(self._band_samples, G, lambda z: np.vstack(
+            [self.basis.values(G) * b.sample(G) for b in (self.phi, self.psi)]))
 
-    def synthesize(self, coords, G):
-        """Samples of the function with the given band coordinates."""
-        coords = np.asarray(coords, dtype=complex)
-        return coords @ self.band_values(G)
+    def split_values(self, G):
+        """(conj(aplus), aminus) samples on the size-G grid."""
+        if self.aplus is None or self.aminus is None:
+            raise MissingDecompositionError(
+                "this construction needs the band-ratio split")
+        return np.conj(self.aplus.sample(G)), self.aminus.sample(G)
 
     def half_synth(self, coords_half, G):
         """Samples of a single K_theta element from basis coordinates."""

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_band import dualband_matrix
-from .errors import (CutoffError, MissingDecompositionError,
-                     NonKernelInputError, SingularOperatorError)
+from .errors import CutoffError, NonKernelInputError, SingularOperatorError
 from .matsym import MatrixSymbol
 from .symbols import fft_freqs, grid_fft, grid_ifft, grid_points
 
@@ -52,7 +51,6 @@ def build_G(space, g=None, lam=None, G=None):
         raise ValueError("pass exactly one of g or lam")
     if G is None:
         G = max(2048, space.default_grid([g] if g is not None else ()))
-    z = grid_points(G)
     th = space.theta.sample(G)
     tb = np.conj(th)
     zero = np.zeros(G, dtype=complex)
@@ -62,11 +60,9 @@ def build_G(space, g=None, lam=None, G=None):
         bw = space.cross_symbol("bw").sample(G)
         off12, off21 = gv * fw, gv * bw
     else:
-        if space.aplus is None or space.aminus is None:
-            raise MissingDecompositionError("the shift form needs the split")
-        gv = z - complex(lam)
-        off12 = gv * np.conj(space.aplus.sample(G)) * tb
-        off21 = gv * space.aminus.sample(G) * tb
+        Apb, Am = space.split_values(G)
+        gv = grid_points(G) - complex(lam)
+        off12, off21 = gv * Apb * tb, gv * Am * tb
     return MatrixSymbol(np.array([
         [tb, zero, zero, zero],
         [zero, tb, zero, zero],

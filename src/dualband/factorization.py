@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_band import dualband_matrix
-from .errors import (EigenvalueEncounteredError, MissingDecompositionError,
-                     NoAdcError)
+from .errors import EigenvalueEncounteredError, NoAdcError
 from .extension import build_G
 from .matsym import MatrixSymbol, monomial_diag_values
 from .shift_spectra import delta, delta_tilde, shift_constants
@@ -83,10 +82,7 @@ def build_g_r(space, R, G=None):
     th = space.theta.sample(G)
     tb = np.conj(th)
     rv = R.sample(G) if hasattr(R, "sample") else np.asarray(R(z))
-    if space.aplus is None or space.aminus is None:
-        raise MissingDecompositionError("the R-family needs the split")
-    Apb = np.conj(space.aplus.sample(G))
-    Am = space.aminus.sample(G)
+    Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)
     return MatrixSymbol(np.array([
         [tb, o, o, o],
@@ -157,11 +153,7 @@ def canonical_factors(space, lam, G=None):
     th = space.theta.sample(G)
     tb = np.conj(th)
     zl = z - lam
-    if space.aplus is None or space.aminus is None:
-        raise MissingDecompositionError(
-            "canonical factors need the band-ratio split")
-    Apb = np.conj(space.aplus.sample(G))
-    Am = space.aminus.sample(G)
+    Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)
     one = np.ones(G, dtype=complex)
 
@@ -239,8 +231,7 @@ def meromorphic_factors(space, R, G=None):
     symbol, rv = build_g_r(space, R, G=G)
     th = space.theta.sample(G)
     tb = np.conj(th)
-    Apb = np.conj(space.aplus.sample(G))
-    Am = space.aminus.sample(G)
+    Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)
     one = np.ones(G, dtype=complex)
     plus_inv = MatrixSymbol(np.array([
@@ -280,8 +271,7 @@ def hminus_split(space, R, G=None):
     """
     G = _default_grid(space, G)
     symbol, rv = build_g_r(space, R, G=G)
-    Apb = np.conj(space.aplus.sample(G))
-    Am = space.aminus.sample(G)
+    Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)
     one = np.ones(G, dtype=complex)
     H = MatrixSymbol(np.array([
@@ -386,10 +376,6 @@ def l2_factors(space, lam, G=None):
     return res
 
 
-# the reduced symbol carries the tilde in the notation above
-l2_factors_tilde = l2_factors
-
-
 # --------------------------------------------------------------------------
 # verification and the resolvent
 # --------------------------------------------------------------------------
@@ -470,6 +456,6 @@ def resolvent_apply(space, lam, h_coords, G=None):
 __all__ = [
     "FactorizationResult", "build_g_lambda", "build_g_r", "build_g_tilde",
     "canonical_factors", "meromorphic_factors", "hminus_split",
-    "l2_factors", "l2_factors_tilde", "verify_factorization",
+    "l2_factors", "verify_factorization",
     "resolvent_apply",
 ]

@@ -3,8 +3,6 @@
 Factor verification, pointwise inversion and Riesz projections all work
 on sampled entries; per-entry Fourier data comes from the grid FFT, so a
 MatrixSymbol is only as band-limited as its construction grid allows.
-Entries may be supplied as LaurentSymbols, InnerFunctions, callables of
-the grid points, plain arrays, or scalars.
 """
 
 from __future__ import annotations
@@ -25,28 +23,6 @@ class MatrixSymbol:
         self.values = values
         self.shape = values.shape[:2]
         self.grid = values.shape[2]
-
-    @classmethod
-    def from_entries(cls, entries, G):
-        z = grid_points(G)
-        rows = []
-        for row in entries:
-            cur = []
-            for e in row:
-                if isinstance(e, (int, float, complex)):
-                    cur.append(np.full(G, complex(e)))
-                elif isinstance(e, np.ndarray):
-                    if e.size != G:
-                        raise GridMismatchError("entry sampled on a different grid")
-                    cur.append(e.astype(complex))
-                elif callable(getattr(e, "sample", None)):
-                    cur.append(e.sample(G))
-                elif callable(e):
-                    cur.append(np.asarray(e(z), dtype=complex))
-                else:
-                    raise TypeError(f"cannot grid entry of type {type(e)!r}")
-            rows.append(cur)
-        return cls(np.array(rows))
 
     # ------------------------------------------------------------- algebra
     def matmul(self, other):
@@ -105,11 +81,9 @@ class MatrixSymbol:
         return grid_fft(self.values[i, j])
 
     def entry_tail(self, i, j, band):
-        """Energy of entry (i, j) over frequencies selected by band(j)."""
+        """Energy of entry (i, j) over the frequency mask band(freqs)."""
         c = self.entry_coeffs(i, j)
-        f = fft_freqs(self.grid)
-        mask = np.array([bool(band(int(x))) for x in f])
-        return float(np.sum(np.abs(c[mask]) ** 2))
+        return float(np.sum(np.abs(c[band(fft_freqs(self.grid))]) ** 2))
 
     def max_tail(self, band):
         return max(self.entry_tail(i, j, band)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .symbols import InnerFunction, LaurentSymbol, choose_grid, grid_points
+from .symbols import InnerFunction, LaurentSymbol, choose_grid, grid_points, memo
 
 
 @dataclass
@@ -64,7 +64,7 @@ class ModelSpaceBasis:
         self.theta = theta
         self.zeros = np.asarray(zeros, dtype=complex)
         self.n = len(zeros)
-        self._cache = {}
+        self._samples = {}
 
     @property
     def is_monomial(self):
@@ -72,17 +72,15 @@ class ModelSpaceBasis:
 
     def values(self, G):
         """(n, G) array of basis samples on the size-G grid."""
-        got = self._cache.get(G)
-        if got is not None:
-            return got
-        z = grid_points(G)
-        out = np.empty((self.n, G), dtype=complex)
-        tail = np.ones(G, dtype=complex)
+        return memo(self._samples, G, self._evaluate)
+
+    def _evaluate(self, z):
+        out = np.empty((self.n, z.size), dtype=complex)
+        tail = np.ones(z.size, dtype=complex)
         for k, a in enumerate(self.zeros):
             den = 1.0 - np.conj(a) * z
             out[k] = np.sqrt(1.0 - abs(a) ** 2) / den * tail
             tail = tail * (z - a) / den
-        self._cache[G] = out
         return out
 
     def default_grid(self, symbols=(), extra_span=0):
@@ -106,10 +104,6 @@ class ModelSpaceBasis:
         G = G or self.default_grid()
         V = self.values(G)
         return (V @ V.conj().T).T / G
-
-
-def tm_basis(theta):
-    return ModelSpaceBasis(theta)
 
 
 def project_model(f, basis, G=None):
@@ -144,7 +138,7 @@ def ctheta_matrix(basis, G=None):
     """
     G = G or basis.default_grid()
     z = grid_points(G)
-    th = basis.theta.eval_at(z)
+    th = basis.theta.sample(G)
     V = basis.values(G)
     CV = th * np.conj(z) * np.conj(V)      # rows are C(e_k) samples
     R = (V.conj() @ CV.T) / G              # R[l, k] = <C e_k, e_l>
@@ -158,6 +152,6 @@ def ctheta_apply(basis, coeffs, R=None):
 
 
 __all__ = [
-    "OperatorMatrix", "ModelSpaceBasis", "tm_basis", "project_model",
+    "OperatorMatrix", "ModelSpaceBasis", "project_model",
     "tto_matrix", "ctheta_matrix", "ctheta_apply",
 ]

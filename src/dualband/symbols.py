@@ -18,6 +18,10 @@ two.  ``grid_fft(values)`` returns coefficients in standard FFT layout
 (index ``m`` holds frequency ``m`` for ``m < G/2``, else ``m - G``).
 Quadrature means the plain grid average, which integrates trigonometric
 polynomials below the Nyquist frequency exactly.
+
+Sampling convention: ``sample(G)`` reads an object on the size-G grid.
+It is computed once per grid size (``memo``), kept on the object and
+returned read-only.  ``eval_at`` is for points off the grid.
 """
 
 from __future__ import annotations
@@ -48,6 +52,16 @@ def grid_fft(values):
 def grid_ifft(coeffs):
     coeffs = np.asarray(coeffs, dtype=complex)
     return np.fft.ifft(coeffs) * coeffs.size
+
+
+def memo(store, G, evaluate):
+    """store[G], set once to the read-only evaluate(grid_points(G))."""
+    got = store.get(G)
+    if got is None:
+        got = evaluate(grid_points(G))
+        got.flags.writeable = False
+        store[G] = got
+    return got
 
 
 def fft_freqs(G):
@@ -98,11 +112,13 @@ class LaurentSymbol:
     kind == "sampled":  values on the dyadic grid of size grid_size
     """
 
-    __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift", "values")
+    __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift", "values",
+                 "_samples")
 
     def __init__(self, kind, coeffs=None, offset=0, num=None, den=None,
                  shift=0, values=None):
         self.kind = kind
+        self._samples = {}
         if kind == "laurent":
             self.coeffs, lead = _trim(coeffs)
             self.offset = int(offset) + lead
@@ -201,13 +217,13 @@ class LaurentSymbol:
         return out if out.shape else complex(out)
 
     def sample(self, G):
-        """Values on the size-G dyadic grid."""
+        """Values on the size-G dyadic grid (a copy for the sampled kind)."""
         if self.kind == "sampled":
             if self.values.size != G:
                 raise GridMismatchError(
                     f"sampled on {self.values.size}, asked for {G}")
             return self.values.copy()
-        return self.eval_at(grid_points(G))
+        return memo(self._samples, G, self.eval_at)
 
     # ----------------------------------------------------------- transforms
     def fourier_coeffs(self, G=None):
@@ -325,11 +341,10 @@ class LaurentSymbol:
                 LaurentSymbol.from_coeffs(minus or {-1: 0.0}))
 
     def tail_energy(self, band, G=None):
-        """Energy sum(|c_j|^2) over frequencies j with band(j) True."""
+        """Energy sum(|c_j|^2) over the frequency mask band(frequencies)."""
         c, lo, _ = self.fourier_coeffs(G)
         idx = np.arange(lo, lo + c.size)
-        mask = np.array([bool(band(int(j))) for j in idx])
-        return float(np.sum(np.abs(c[mask]) ** 2))
+        return float(np.sum(np.abs(c[band(idx)]) ** 2))
 
     def is_unimodular(self, tol=TAU_EVAL, G=None):
         if G is None:
@@ -415,10 +430,11 @@ class InnerFunction:
     atomic_singular: exp( sum mu_j (z + xi_j)/(z - xi_j) ), |xi_j| = 1, mu_j > 0
     """
 
-    __slots__ = ("kind", "zeros", "const", "points", "factors")
+    __slots__ = ("kind", "zeros", "const", "points", "factors", "_samples")
 
     def __init__(self, kind, zeros=None, const=1.0, points=None, factors=None):
         self.kind = kind
+        self._samples = {}
         if kind == "finite_blaschke":
             zeros = np.asarray(zeros, dtype=complex)
             if zeros.size == 0:
@@ -519,7 +535,8 @@ class InnerFunction:
         return out if out.shape else complex(out)
 
     def sample(self, G):
-        return self.eval_at(grid_points(G))
+        """Values on the size-G dyadic grid."""
+        return memo(self._samples, G, self.eval_at)
 
     def value_at_zero(self):
         if self.kind == "finite_blaschke":

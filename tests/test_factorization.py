@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dualband import (EigenvalueEncounteredError, InnerFunction,
-                      LaurentSymbol, NoAdcError, build_dualband,
-                      canonical_factors, dualband_matrix, hminus_split,
-                      l2_factors, l2_factors_tilde, meromorphic_factors,
+                      LaurentSymbol, MissingDecompositionError, NoAdcError,
+                      build_dualband, canonical_factors, dualband_matrix,
+                      hminus_split, l2_factors, meromorphic_factors,
                       resolvent_apply, verify_factorization)
 
 Z = LaurentSymbol.monomial
@@ -121,6 +121,35 @@ class TestMeromorphic:
         assert out["minus_tail"] < 1e-9
 
 
+class TestSplitSamples:
+    def test_new_lambda_samples_no_symbol(self, monkeypatch):
+        # theta's difference quotient at a new lam is new content; the
+        # split halves and every other symbol are read from their samples
+        sp = two_sided_space()
+        G = canonical_factors(sp, 0.2).grid
+        grid_sized = []
+        eval_at = LaurentSymbol.eval_at
+
+        def counting(self, z):
+            if np.size(z) == G:
+                grid_sized.append(self)
+            return eval_at(self, z)
+
+        monkeypatch.setattr(LaurentSymbol, "eval_at", counting)
+        for lam in (-0.3 + 0.1j, 2.0):
+            canonical_factors(sp, lam)
+        assert grid_sized == []
+
+    def test_missing_split_rejected(self):
+        theta = InnerFunction.blaschke([0.5])
+        th = theta.as_symbol()
+        sp = build_dualband(theta, phi=LaurentSymbol.constant(1.0),
+                            psi=th * th)
+        assert sp.aplus is None
+        with pytest.raises(MissingDecompositionError):
+            sp.split_values(64)
+
+
 class TestHminusSplit:
     def test_nilpotent_linear(self):
         sp = nilpotent_space()
@@ -169,9 +198,6 @@ class TestL2:
         assert res.det_expected == pytest.approx(1.0, abs=1e-12)
         out = verify_factorization(res)
         assert out["identity_residual"] < 1e-8
-
-    def test_alias(self):
-        assert l2_factors_tilde is l2_factors
 
     def test_interior_point(self):
         sp = nilpotent_space()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
-                      PoleError)
+from dualband import (CoefficientError, GridMismatchError, InnerFunction,
+                      LaurentSymbol, PoleError)
 from dualband.symbols import (analytic_project_values, difference_quotient,
                               grid_points, refine_grid)
 
@@ -173,6 +173,31 @@ class TestGrids:
         vals = analytic_project_values(s.sample(32))
         proj = LaurentSymbol.sampled(vals)
         assert proj.tail_energy(lambda j: j < 0, G=32) < 1e-26
+
+
+class TestSampleMemo:
+    @pytest.mark.parametrize("obj", [
+        LaurentSymbol.from_coeffs({-2: 0.5j, 0: 1.0, 3: -0.25}),
+        LaurentSymbol.rational([1.0, 0.3], [1.0, 0.0, -0.5], shift=-1),
+        InnerFunction.blaschke([0.3, -0.2 + 0.4j]),
+    ], ids=["laurent", "rational", "inner"])
+    def test_one_readonly_array_per_grid(self, obj):
+        v32 = obj.sample(32)
+        assert obj.sample(32) is v32
+        assert v32.tobytes() == obj.eval_at(grid_points(32)).tobytes()
+        with pytest.raises(ValueError):
+            v32[0] = 0.0
+        v64 = obj.sample(64)
+        assert v64 is not v32 and v64.size == 64
+        assert obj.sample(32) is v32
+
+    def test_sampled_kind_still_copies_and_checks(self):
+        s = LaurentSymbol.sampled(grid_points(32))
+        v = s.sample(32)
+        v[0] = 0.0
+        assert s.sample(32)[0] == 1.0
+        with pytest.raises(GridMismatchError):
+            s.sample(64)
 
 
 class TestDifferenceQuotient:
