@@ -23,12 +23,11 @@ from .errors import (CoefficientError, CutoffError, DegeneracyError,
 from .extension import (ExtensionVector, adjoint_kernel_map, build_G,
                         inverse_via_extension, kernel_lift, kernel_project,
                         range_test, rh_residual)
-from .factorization import (FactorizationResult, build_g_lambda, build_g_r,
-                            build_g_tilde, canonical_factors, hminus_split,
-                            l2_factors, meromorphic_factors, resolvent_apply,
+from .factorization import (FactorizationResult, build_g_r, build_g_tilde,
+                            canonical_factors, hminus_split, l2_factors,
+                            meromorphic_factors, resolvent_apply,
                             verify_factorization)
-from .hankel import (analytic_spectrum, hankel_norm,
-                     shift_essential_spectrum_formula, triangular_w_inverse)
+from .hankel import analytic_spectrum, hankel_norm, triangular_w_inverse
 from .matsym import MatrixSymbol
 from .model_space import (ModelSpaceBasis, ctheta_apply, ctheta_matrix,
                           project_model, tto_matrix)
@@ -51,12 +50,11 @@ __all__ = [
     "delta", "delta_tilde", "eigvec_build", "point_spectrum", "adc_test",
     "solve_theta_equals",
     "essential_spectrum", "classify", "FactorizationResult",
-    "build_g_lambda", "build_g_r", "build_g_tilde", "canonical_factors",
+    "build_g_r", "build_g_tilde", "canonical_factors",
     "meromorphic_factors", "hminus_split", "l2_factors",
     "verify_factorization", "resolvent_apply", "hankel_norm",
     "Scenario", "parse_scenario", "parse_scenario_text", "build_space",
-    "analytic_spectrum", "triangular_w_inverse",
-    "shift_essential_spectrum_formula", "DualbandError",
+    "analytic_spectrum", "triangular_w_inverse", "DualbandError",
     "PoleError", "OffGridError", "GridMismatchError", "CoefficientError",
     "UnimodularityError", "OrthogonalityError", "DegeneracyError",
     "MissingDecompositionError", "NotAnEigenvalueError",

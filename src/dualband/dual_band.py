@@ -55,6 +55,8 @@ class DualBandSpace:
         self.report = report
         self.n = basis.n
         self._band_samples = {}
+        self._split_constants = None
+        self._shift = None
 
     # ------------------------------------------------------------ sampling
     def band_values(self, G):
@@ -109,14 +111,28 @@ class DualBandSpace:
         """(A_plus(0), conj-value of aminus at index 0) used by spectra.
 
         The second value is the evaluation at the origin of the circle
-        conjugate of the co-analytic half.
+        conjugate of the co-analytic half.  Computed on first call.
         """
-        if self.aplus is None or self.aminus is None:
-            raise MissingDecompositionError(
-                "spectral formulas need the analytic/co-analytic split")
-        ap0 = complex(self.aplus.eval_at(0.0))
-        amb0 = complex(self.aminus.conj().eval_at(0.0))
-        return ap0, amb0
+        if self._split_constants is None:
+            if self.aplus is None or self.aminus is None:
+                raise MissingDecompositionError(
+                    "spectral formulas need the analytic/co-analytic split")
+            self._split_constants = (complex(self.aplus.eval_at(0.0)),
+                                     complex(self.aminus.conj().eval_at(0.0)))
+        return self._split_constants
+
+    # ------------------------------------------------------------ the shift
+    def shift_matrix(self):
+        """Read-only matrix of T_z, the compression of z, built once.
+
+        The band basis is orthonormal, so the compression of z - lam is
+        exactly shift_matrix() - lam * I at every lam.
+        """
+        if self._shift is None:
+            T = dualband_matrix(self, LaurentSymbol.monomial(1)).entries
+            T.flags.writeable = False
+            self._shift = T
+        return self._shift
 
 
 def _as_symbol(obj):

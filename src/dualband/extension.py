@@ -44,25 +44,36 @@ def build_G(space, g=None, lam=None, G=None):
     """Grid the extension symbol.
 
     With g: rows (tb,0,0,0), (0,tb,0,0), (g, g*fw, th, 0), (g*bw, g, 0, th).
-    With lam: the shift form, off entries (z-lam)*conj(aplus)*tb and
-    (z-lam)*aminus*tb, which requires the split.
+    With lam: the shift form ``split_form_symbol`` of z - lam.
     """
     if (g is None) == (lam is None):
         raise ValueError("pass exactly one of g or lam")
     if G is None:
         G = max(2048, space.default_grid([g] if g is not None else ()))
+    if g is None:
+        return split_form_symbol(space, grid_points(G) - complex(lam))
+    gv = g.sample(G)
+    fw = space.cross_symbol("fw").sample(G)
+    bw = space.cross_symbol("bw").sample(G)
+    return _extension_symbol(space.theta.sample(G), gv, gv * fw, gv * bw)
+
+
+def split_form_symbol(space, gv):
+    """Extension symbol of g in split form, from its grid samples gv.
+
+    The off entries g*fw and g*bw become g*conj(aplus)*tb and
+    g*aminus*tb, which requires the split.
+    """
+    G = gv.size
     th = space.theta.sample(G)
     tb = np.conj(th)
-    zero = np.zeros(G, dtype=complex)
-    if g is not None:
-        gv = g.sample(G)
-        fw = space.cross_symbol("fw").sample(G)
-        bw = space.cross_symbol("bw").sample(G)
-        off12, off21 = gv * fw, gv * bw
-    else:
-        Apb, Am = space.split_values(G)
-        gv = grid_points(G) - complex(lam)
-        off12, off21 = gv * Apb * tb, gv * Am * tb
+    Apb, Am = space.split_values(G)
+    return _extension_symbol(th, gv, gv * Apb * tb, gv * Am * tb)
+
+
+def _extension_symbol(th, gv, off12, off21):
+    tb = np.conj(th)
+    zero = np.zeros(th.size, dtype=complex)
     return MatrixSymbol(np.array([
         [tb, zero, zero, zero],
         [zero, tb, zero, zero],
@@ -361,8 +372,8 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
 
 
 __all__ = [
-    "build_G", "ExtensionVector", "rh_residual", "kernel_lift",
-    "kernel_project", "finite_section_matrix", "range_test",
+    "build_G", "split_form_symbol", "ExtensionVector", "rh_residual",
+    "kernel_lift", "kernel_project", "finite_section_matrix", "range_test",
     "RangeCertificate", "adjoint_kernel_map",
     "adjoint_symbol_identity_residual", "inverse_via_extension",
     "InverseCertificate", "u0_window", "PI1", "PI2",

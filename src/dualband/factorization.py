@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_band import dualband_matrix
 from .errors import EigenvalueEncounteredError, NoAdcError
-from .extension import build_G
+from .extension import build_G, split_form_symbol
 from .matsym import MatrixSymbol, monomial_diag_values
 from .shift_spectra import delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
@@ -69,36 +68,18 @@ def _default_grid(space, G):
     return G or max(4096, space.default_grid(extra_span=8))
 
 
-def build_g_lambda(space, lam, G=None):
-    """Extension symbol of z - lam in split form (grid MatrixSymbol)."""
-    G = _default_grid(space, G)
-    return build_G(space, lam=lam, G=G)
-
-
 def build_g_r(space, R, G=None):
     """Extension symbol of the polynomial family member R, split form."""
-    G = _default_grid(space, G)
-    z = grid_points(G)
-    th = space.theta.sample(G)
-    tb = np.conj(th)
-    rv = R.sample(G) if hasattr(R, "sample") else np.asarray(R(z))
-    Apb, Am = space.split_values(G)
-    o = np.zeros(G, dtype=complex)
-    return MatrixSymbol(np.array([
-        [tb, o, o, o],
-        [o, tb, o, o],
-        [rv, rv * Apb * tb, th, o],
-        [rv * Am * tb, rv, o, th],
-    ])), rv
+    rv = R.sample(_default_grid(space, G))
+    return split_form_symbol(space, rv), rv
 
 
 def build_g_tilde(space, R, G=None):
     """Triangular remainder of the R-family after the bounded peel."""
     G = _default_grid(space, G)
-    z = grid_points(G)
     th = space.theta.sample(G)
     tb = np.conj(th)
-    rv = R.sample(G) if hasattr(R, "sample") else np.asarray(R(z))
+    rv = R.sample(G)
     o = np.zeros(G, dtype=complex)
     return MatrixSymbol(np.array([
         [tb, o, o, o],
@@ -158,7 +139,7 @@ def canonical_factors(space, lam, G=None):
     one = np.ones(G, dtype=complex)
 
     if region == "inside":
-        prof = difference_quotient(space.theta, lam, z)   # analytic profile
+        prof = difference_quotient(space.theta, lam, G)   # analytic profile
         lower2, lower4 = -one, -one                        # X rows 3, 4
         m32, m44 = -thl * one, -thl * one
         m34, m42 = Apb * (1 - thl * tb), Am * (1 - thl * tb)
@@ -208,7 +189,7 @@ def canonical_factors(space, lam, G=None):
         ]))
         kind = "canonical-degenerate"
 
-    symbol = build_g_lambda(space, lam, G=G)
+    symbol = build_G(space, lam=lam, G=G)
     res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv,
                               (0, 0, 0, 0), complex(scale), warnings)
     res.extras = {"region": region, "disc": complex(c.disc),
@@ -313,7 +294,7 @@ def l2_factors(space, lam, G=None):
     thl = complex(space.theta.eval_at(lam))
     tbar = np.conj(space.theta.value_at_zero())
     q = 1.0 / (1.0 - tbar)
-    dq = difference_quotient(space.theta, lam, z)
+    dq = difference_quotient(space.theta, lam, G)
     dqc = dq * tb
     o = np.zeros(G, dtype=complex)
     one = np.ones(G, dtype=complex)
@@ -443,10 +424,9 @@ def resolvent_apply(space, lam, h_coords, G=None):
     coords = np.concatenate([space.basis.project_values(F[0]),
                              space.basis.project_values(F[1])])
 
-    g = LaurentSymbol.from_coeffs({0: -lam, 1: 1.0})
-    T = dualband_matrix(space, g).entries
     hn = max(float(np.linalg.norm(h)), 1e-300)
-    residual = float(np.linalg.norm(T @ coords - h)) / hn
+    residual = float(np.linalg.norm(
+        space.shift_matrix() @ coords - lam * coords - h)) / hn
     diagnostics = {"cond_minus": cond, "residual": residual, "grid": Gq,
                    "kind": res.kind, "region": res.extras["region"],
                    "warnings": list(res.warnings)}
@@ -454,7 +434,7 @@ def resolvent_apply(space, lam, h_coords, G=None):
 
 
 __all__ = [
-    "FactorizationResult", "build_g_lambda", "build_g_r", "build_g_tilde",
+    "FactorizationResult", "build_g_r", "build_g_tilde",
     "canonical_factors", "meromorphic_factors", "hminus_split",
     "l2_factors", "verify_factorization",
     "resolvent_apply",

@@ -186,15 +186,7 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
                 "cond_diag": float(s[0] / s[-1])}
 
 
-def shift_essential_spectrum_formula(theta):
-    """Essential spectrum of the dual-band shift: the boundary spectrum
-    of theta alone, independent of the band data."""
-    from .shift_spectra import essential_spectrum
-    return essential_spectrum(theta)
-
-
 __all__ = [
     "hankel_norm", "HankelNormReport", "analytic_spectrum",
     "AnalyticSpectrumReport", "triangular_w_inverse",
-    "shift_essential_spectrum_formula",
 ]

@@ -35,17 +35,6 @@ class OperatorMatrix:
     def norm2(self):
         return float(np.linalg.norm(self.entries, 2))
 
-    def compose(self, other):
-        if self.col_basis != other.row_basis:
-            raise GridMismatchError(
-                f"cannot compose {self.col_basis!r} after {other.row_basis!r}")
-        return OperatorMatrix(self.entries @ other.entries,
-                              self.row_basis, other.col_basis)
-
-    def adjoint(self):
-        return OperatorMatrix(self.entries.conj().T,
-                              self.col_basis, self.row_basis)
-
 
 class ModelSpaceBasis:
     """Orthonormal basis data for K_theta, theta a finite Blaschke product."""

@@ -21,7 +21,9 @@ polynomials below the Nyquist frequency exactly.
 
 Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and
-returned read-only.  ``eval_at`` is for points off the grid.
+returned read-only.  ``eval_at`` is for points off the grid.  Grid
+readers take the grid size, not the points: ``difference_quotient``
+reads ``theta.sample(G)`` for every new lam.
 """
 
 from __future__ import annotations
@@ -612,19 +614,19 @@ class InnerFunction:
         return f"InnerFunction(product, factors={len(self.factors)})"
 
 
-def difference_quotient(theta, lam, z):
-    """(theta(z) - theta(lam)) / (z - lam) with the removable point filled.
+def difference_quotient(theta, lam, G):
+    """(theta(z) - theta(lam)) / (z - lam) on the size-G grid.
 
-    Grid nodes within 1e-13 of lam take the exact limit theta'(lam); the
-    quotient itself is well conditioned everywhere else we evaluate it.
+    Reads theta.sample(G).  Grid nodes within 1e-13 of lam take the exact
+    limit theta'(lam), filling the removable point; the quotient itself
+    is well conditioned everywhere else on the grid.
     """
-    z = np.asarray(z, dtype=complex)
     lam = complex(lam)
     thl = theta.eval_at(lam)
-    d = z - lam
+    d = grid_points(G) - lam
     hit = np.abs(d) < 1e-13
     safe = np.where(hit, 1.0, d)
-    out = (theta.eval_at(z) - thl) / safe
+    out = (theta.sample(G) - thl) / safe
     if np.any(hit):
         out = np.where(hit, theta.derivative_at(lam), out)
     return out

@@ -123,19 +123,23 @@ class TestMeromorphic:
 
 class TestSplitSamples:
     def test_new_lambda_samples_no_symbol(self, monkeypatch):
-        # theta's difference quotient at a new lam is new content; the
-        # split halves and every other symbol are read from their samples
+        # at a new lam, theta (difference quotient included), the split
+        # halves and every other symbol are read from their samples
         sp = two_sided_space()
         G = canonical_factors(sp, 0.2).grid
         grid_sized = []
-        eval_at = LaurentSymbol.eval_at
 
-        def counting(self, z):
-            if np.size(z) == G:
-                grid_sized.append(self)
-            return eval_at(self, z)
+        def count_grid_calls(cls):
+            eval_at = cls.eval_at
 
-        monkeypatch.setattr(LaurentSymbol, "eval_at", counting)
+            def wrapped(self, z):
+                if np.size(z) == G:
+                    grid_sized.append(self)
+                return eval_at(self, z)
+            monkeypatch.setattr(cls, "eval_at", wrapped)
+
+        count_grid_calls(LaurentSymbol)
+        count_grid_calls(InnerFunction)
         for lam in (-0.3 + 0.1j, 2.0):
             canonical_factors(sp, lam)
         assert grid_sized == []

@@ -5,8 +5,8 @@ import pytest
 
 from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
                       SingularOperatorError, analytic_spectrum, block_w,
-                      build_dualband, dualband_matrix, hankel_norm,
-                      shift_essential_spectrum_formula, triangular_w_inverse)
+                      build_dualband, dualband_matrix, essential_spectrum,
+                      hankel_norm, triangular_w_inverse)
 
 Z = LaurentSymbol.monomial
 
@@ -145,11 +145,11 @@ class TestTriangularInverse:
 
 class TestEssentialFormula:
     def test_finite_blaschke(self):
-        pts, _ = shift_essential_spectrum_formula(InnerFunction.monomial(2))
+        pts, _ = essential_spectrum(InnerFunction.monomial(2))
         assert pts == []
 
     def test_atomic(self):
         theta = InnerFunction.atomic([(1.0, 1.0)])
-        pts, evidence = shift_essential_spectrum_formula(theta)
+        pts, evidence = essential_spectrum(theta)
         assert pts == [1.0 + 0.0j]
         assert evidence[1.0 + 0.0j] < 1e-6

@@ -4,10 +4,12 @@ boundary diagnostics."""
 import numpy as np
 import pytest
 
+import dualband.dual_band
 from dualband import (InnerFunction, LaurentSymbol, NotAnEigenvalueError,
                       adc_test, build_dualband, classify, delta, delta_tilde,
                       dualband_matrix, eigvec_build, essential_spectrum,
-                      point_spectrum, shift_constants, solve_theta_equals)
+                      point_spectrum, resolvent_apply, shift_constants,
+                      solve_theta_equals)
 
 Z = LaurentSymbol.monomial
 
@@ -129,6 +131,44 @@ class TestPointSpectrum:
         assert eigs[1] == pytest.approx(1.7, abs=1e-8)
         assert all(p.region == "outside" for p in rep.points)
         assert rep.cross_check["agrees"]
+
+
+SPACES = (nilpotent_space, twist_space, two_sided_space)
+
+
+class TestShiftMatrix:
+    @pytest.mark.parametrize("make", SPACES)
+    def test_built_once_read_only(self, make):
+        sp = make()
+        T = sp.shift_matrix()
+        assert sp.shift_matrix() is T
+        assert not T.flags.writeable
+        assert T.tobytes() == dualband_matrix(sp, Z(1)).entries.tobytes()
+
+    @pytest.mark.parametrize("make", SPACES)
+    @pytest.mark.parametrize("lam", (0.3 - 0.2j, 1.5 + 0.5j))
+    def test_shift_by_lambda(self, make, lam):
+        # the band basis is orthonormal: compressing z - lam is T_z - lam I
+        sp = make()
+        g = LaurentSymbol.from_coeffs({0: -lam, 1: 1.0})
+        want = dualband_matrix(sp, g).entries
+        got = sp.shift_matrix() - lam * np.eye(2 * sp.n)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_one_dense_build_per_space(self, monkeypatch):
+        builds = []
+        build = dualband.dual_band.dualband_matrix
+
+        def counting(space, g, G=None):
+            builds.append(g)
+            return build(space, g, G=G)
+
+        monkeypatch.setattr(dualband.dual_band, "dualband_matrix", counting)
+        sp = twist_space()
+        point_spectrum(sp)
+        point_spectrum(sp, cross_check=False)
+        resolvent_apply(sp, 0.0, np.array([1.0, 0, 0, 0], dtype=complex))
+        assert len(builds) == 1
 
 
 class TestThetaSolver:

@@ -204,20 +204,23 @@ class TestDifferenceQuotient:
     def test_interior_values(self):
         th = InnerFunction.monomial(2)
         z = grid_points(64)
-        dq = difference_quotient(th, 0.3, z)
+        dq = difference_quotient(th, 0.3, 64)
         expect = (z ** 2 - 0.09) / (z - 0.3)
         assert np.max(np.abs(dq - expect)) < 1e-12
 
     def test_fill_at_coincidence(self):
-        # at z = lam the quotient continues to the derivative
+        # at a grid node lam the quotient continues to the derivative
         th = InnerFunction.blaschke([0.5])
-        lam = 0.25
-        dq = difference_quotient(th, lam, np.array([lam + 0j]))
-        assert dq[0] == pytest.approx(th.derivative_at(lam))
+        z = grid_points(8)
+        lam = z[3]
+        dq = difference_quotient(th, lam, 8)
+        assert dq[3] == pytest.approx(th.derivative_at(lam))
+        rest = np.arange(8) != 3
+        expect = (th.eval_at(z[rest]) - th.eval_at(lam)) / (z[rest] - lam)
+        assert np.max(np.abs(dq[rest] - expect)) < 1e-12
 
     def test_quotient_is_analytic(self):
         th = InnerFunction.blaschke([0.0, 0.5])
-        z = grid_points(256)
-        vals = difference_quotient(th, 0.4, z)
+        vals = difference_quotient(th, 0.4, 256)
         s = LaurentSymbol.sampled(vals)
         assert np.sqrt(s.tail_energy(lambda j: j < 0, G=256)) < 1e-10
