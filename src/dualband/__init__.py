@@ -30,7 +30,7 @@ from .factorization import (FactorizationResult, build_g_r, build_g_tilde,
 from .hankel import analytic_spectrum, hankel_norm, triangular_w_inverse
 from .matsym import MatrixSymbol
 from .model_space import (ModelSpaceBasis, ctheta_apply, ctheta_matrix,
-                          project_model, tto_matrix)
+                          tto_matrix)
 from .scenario import Scenario, build_space, parse_scenario, parse_scenario_text
 from .shift_spectra import (adc_test, classify, delta, delta_tilde,
                             eigvec_build, essential_spectrum, point_spectrum,
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentSymbol", "InnerFunction", "ModelSpaceBasis", "tto_matrix",
-    "ctheta_matrix", "ctheta_apply", "project_model", "DualBandSpace",
+    "ctheta_matrix", "ctheta_apply", "DualBandSpace",
     "build_dualband", "dualband_matrix", "block_w", "pm_apply",
     "unitary_equiv_check", "is_zero_operator", "cm_matrix", "cm_apply",
     "cm_symmetry_residual", "MatrixSymbol", "build_G", "ExtensionVector",

@@ -348,10 +348,10 @@ def _opts_from_args(args, forced_tasks=None):
 def _cmd_run(args, forced_tasks=None):
     try:
         scn = parse_scenario(args.scenario)
-        if scn.tol is not None and args.tol is None:
-            args.tol = scn.tol
-        if scn.cutoff is not None and args.cutoff is None:
-            args.cutoff = scn.cutoff
+        # the command line wins over the scenario's [numerics]
+        for key in ("grid", "tol", "cutoff"):
+            if getattr(args, key) is None:
+                setattr(args, key, getattr(scn, key))
         opts = _opts_from_args(args, forced_tasks)
         report, code = run_scenario(scn, opts, fail_fast=args.fail_fast)
     except (DualbandError, OSError) as exc:
@@ -383,7 +383,7 @@ def _cmd_regold(args):
     for path in paths:
         try:
             scn = parse_scenario(path)
-            opts = {"grid": None, "tol": scn.tol, "cutoff": scn.cutoff,
+            opts = {"grid": scn.grid, "tol": scn.tol, "cutoff": scn.cutoff,
                     "tasks": None}
             report, code = run_scenario(scn, opts)
         except (DualbandError, OSError) as exc:

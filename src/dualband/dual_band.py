@@ -39,18 +39,24 @@ TOL_ORTHO = 1e-10
 TOL_UNIMOD = 1e-10
 TOL_DEGEN = 1e-6
 TOL_SPLIT = 1e-10
+# Grid floor of every four-by-four extension symbol: the lam-dependent
+# factor profiles are not among the symbols the quadrature rule sees.
+EXTENSION_GRID_FLOOR = 4096
 
 
 class DualBandSpace:
     """Validated dual-band data; build through :func:`build_dualband`."""
 
-    def __init__(self, theta, basis, phi, psi, aplus, aminus, mode, report):
+    def __init__(self, theta, basis, phi, psi, aplus, aminus, ratios, mode,
+                 report):
         self.theta = theta
         self.basis = basis
         self.phi = phi
         self.psi = psi
         self.aplus = aplus
         self.aminus = aminus
+        # the band ratios (conj(phi) psi, conj(psi) phi), exact symbols
+        self.ratios = ratios
         self.mode = mode
         self.report = report
         self.n = basis.n
@@ -90,21 +96,12 @@ class DualBandSpace:
                     syms.append(b)
         return self.basis.default_grid(syms, extra_span=extra_span)
 
-    # --------------------------------------------------------- band ratios
-    def cross_symbol(self, direction="fw"):
-        """conj(phi) * psi ("fw") or conj(psi) * phi ("bw"), exactly.
-
-        Free spaces reconstruct the ratio from the analytic/co-analytic
-        split, which determines it modulo nothing: the split is exact.
-        """
-        if self.mode == "realized":
-            fw = self.phi.conj() * self.psi
-            return fw if direction == "fw" else fw.conj()
-        if self.aplus is None or self.aminus is None:
-            raise MissingDecompositionError("free space lacks its split")
-        th = self.theta.as_symbol()
-        bw = self.aminus * th.conj() + self.aplus * th
-        return bw.conj() if direction == "fw" else bw
+    def extension_grid(self, g=None, n_ext=0):
+        """Grid of the four-by-four extension symbols of g (or of the
+        shift family when g is None) with coefficient window n_ext."""
+        return max(EXTENSION_GRID_FLOOR, 4 * (n_ext + 1),
+                   self.default_grid([g] if g is not None else (),
+                                     extra_span=8))
 
     # ------------------------------------------------ split scalar values
     def split_constants(self):
@@ -169,8 +166,11 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
             raise MissingDecompositionError(
                 "free mode needs both halves of the band-ratio split")
         _validate_split_tails(aplus, aminus, report)
+        # the split determines the ratio exactly
+        th = basis.theta_symbol
+        bw = aminus * th.conj() + aplus * th
         return DualBandSpace(theta, basis, None, None, aplus, aminus,
-                             "free", report)
+                             (bw.conj(), bw), "free", report)
     if phi is None or psi is None:
         raise ValueError("realized mode needs both phi and psi")
 
@@ -183,15 +183,16 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
         if dev > tol_unimod:
             raise UnimodularityError(f"{name} is not unimodular: dev={dev:.3e}")
 
-    cross = phi.conj() * psi
-    ortho = float(np.max(np.abs(tto_matrix(basis, cross, G=G).entries)))
+    fw = phi.conj() * psi
+    bw = fw.conj()
+    ortho = float(np.max(np.abs(tto_matrix(basis, fw, G=G).entries)))
     report["orthogonality_max_entry"] = ortho
     if ortho > tol_ortho:
         raise OrthogonalityError(
             f"bands are not orthogonal: max compression entry {ortho:.3e}")
 
     thv = theta.sample(G)
-    for name, ratio in (("fw", cross), ("bw", cross.conj())):
+    for name, ratio in (("fw", fw), ("bw", bw)):
         rv = ratio.sample(G)
         c = np.mean(rv * np.conj(thv))
         dist = float(np.max(np.abs(rv - c * thv)))
@@ -202,18 +203,18 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
 
     if aplus is not None and aminus is not None:
         _validate_split_tails(aplus, aminus, report)
-        res = _split_residual(theta, cross.conj(), aplus, aminus, G)
+        res = _split_residual(theta, bw, aplus, aminus, G)
         report["split_residual"] = res
         if res > TOL_SPLIT:
             raise MissingDecompositionError(
                 f"supplied split does not reproduce the band ratio: {res:.3e}")
     elif basis.is_monomial:
-        aplus, aminus = _extract_split_monomial(cross.conj(), n)
+        aplus, aminus = _extract_split_monomial(bw, n)
         report["split_residual"] = _split_residual(
-            theta, cross.conj(), aplus, aminus, G)
+            theta, bw, aplus, aminus, G)
     # otherwise the split stays absent; spectral formulas will demand it
 
-    return DualBandSpace(theta, basis, phi, psi, aplus, aminus,
+    return DualBandSpace(theta, basis, phi, psi, aplus, aminus, (fw, bw),
                          "realized", report)
 
 
@@ -269,8 +270,7 @@ def block_w(space, g, G=None):
         G = space.default_grid([g] if isinstance(g, LaurentSymbol) else (),
                                extra_span=_span_of(g))
     basis = space.basis
-    fw = space.cross_symbol("fw")
-    bw = space.cross_symbol("bw")
+    fw, bw = space.ratios
     A = tto_matrix(basis, g, G=G).entries
     B12 = tto_matrix(basis, fw * g, G=G).entries
     B21 = tto_matrix(basis, bw * g, G=G).entries

@@ -16,6 +16,16 @@ This module moves data across that equivalence: kernels lift to kernels
 of the block Toeplitz operator, project back, detect range membership,
 pass to adjoint kernels by the reflection x -> conj(z) * conj(x), and
 invert through it.
+
+Grids: every four-by-four symbol here is gridded by the extension rule,
+``DualBandSpace.extension_grid``: the quadrature grid of the space and g
+with eight more frequencies of span, raised to
+``dual_band.EXTENSION_GRID_FLOOR`` and to four times the coefficient
+window.  The floor is there because the factor profiles that depend on
+lam are not among the symbols the quadrature rule sees.  The dense
+matrices these routines compare against keep the quadrature rule,
+``DualBandSpace.default_grid`` over ``symbols.choose_grid``.  The grid
+conventions in :mod:`dualband.symbols` describe both rules.
 """
 
 from __future__ import annotations
@@ -48,13 +58,11 @@ def build_G(space, g=None, lam=None, G=None):
     """
     if (g is None) == (lam is None):
         raise ValueError("pass exactly one of g or lam")
-    if G is None:
-        G = max(2048, space.default_grid([g] if g is not None else ()))
+    G = G or space.extension_grid(g)
     if g is None:
         return split_form_symbol(space, grid_points(G) - complex(lam))
     gv = g.sample(G)
-    fw = space.cross_symbol("fw").sample(G)
-    bw = space.cross_symbol("bw").sample(G)
+    fw, bw = (r.sample(G) for r in space.ratios)
     return _extension_symbol(space.theta.sample(G), gv, gv * fw, gv * bw)
 
 
@@ -141,8 +149,7 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     coords = np.asarray(coords, dtype=complex)
     n = space.n
     while True:
-        Gq = G or max(2048, 4 * (n_ext + 1),
-                      space.default_grid([g] if g is not None else ()))
+        Gq = G or space.extension_grid(g, n_ext)
         Gsym = build_G(space, g=g, lam=lam, G=Gq)
         f1 = space.half_synth(coords[:n], Gq)
         f2 = space.half_synth(coords[n:], Gq)
@@ -170,7 +177,7 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
     Rejects vectors that fail the kernel residual check: the projection
     formula is only meaningful on the kernel.
     """
-    Gq = G or vec.meta.get("grid") or max(2048, 4 * (vec.n_ext + 1))
+    Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
     Gsym = build_G(space, g=g, lam=lam, G=Gq)
     res = rh_residual(Gsym, vec)
     scale = max(vec.norm(), 1e-300)
@@ -245,7 +252,7 @@ def range_test(space, g, h_coords, n_ext=128, tol=1e-8):
     in_range = residual <= tol
     x = Vh.conj().T[:, :rank] @ ((Ur.conj().T @ h) / s[:rank])
 
-    Gsym = build_G(space, g=g, G=max(2048, 4 * (n_ext + 1)))
+    Gsym = build_G(space, g=g, G=space.extension_grid(g, n_ext))
     TN = finite_section_matrix(Gsym, n_ext)
     H = u0_window(space, h, Gsym, n_ext)
     sol, *_ = np.linalg.lstsq(TN, H, rcond=None)
@@ -267,7 +274,7 @@ def adjoint_kernel_map(space, vec, g=None, lam=None, G=None):
     lies in the kernel of the adjoint symbol.  Returns the swapped vector
     with its adjoint-side residual in meta.
     """
-    Gq = G or vec.meta.get("grid") or max(2048, 4 * (vec.n_ext + 1))
+    Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
     Gsym = build_G(space, g=g, lam=lam, G=Gq)
     F = vec.values_on(Gq)
     Fm = Gsym.matvec_values(F)
@@ -350,7 +357,7 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
         coords = coords / scale
         method, cond, notes = "factorization", diag["cond_minus"], ""
     else:
-        Gsym = build_G(space, g=g, G=max(2048, 4 * (n_ext + 1)))
+        Gsym = build_G(space, g=g, G=space.extension_grid(g, n_ext))
         TN = finite_section_matrix(Gsym, n_ext)
         H = u0_window(space, h, Gsym, n_ext)
         sol, *_ = np.linalg.lstsq(TN, H, rcond=None)

@@ -28,6 +28,15 @@ Four families are covered:
 ``resolvent_apply`` chains the canonical factors into the standard
 solve: project the lifted right-hand side between the factors and read
 off the first two components.
+
+Grids: without an explicit G every factorization is gridded by the
+extension rule, ``DualBandSpace.extension_grid``, which raises the
+space's quadrature grid (``DualBandSpace.default_grid`` over
+``symbols.choose_grid``) to ``dual_band.EXTENSION_GRID_FLOOR``.  The
+floor covers the lam-dependent profiles of the factors (difference
+quotients and reproducing kernels), which the quadrature rule does not
+see.  The grid conventions in :mod:`dualband.symbols` describe both
+rules.
 """
 
 from __future__ import annotations
@@ -64,19 +73,15 @@ class FactorizationResult:
     extras: dict = field(default_factory=dict)
 
 
-def _default_grid(space, G):
-    return G or max(4096, space.default_grid(extra_span=8))
-
-
 def build_g_r(space, R, G=None):
     """Extension symbol of the polynomial family member R, split form."""
-    rv = R.sample(_default_grid(space, G))
+    rv = R.sample(G or space.extension_grid())
     return split_form_symbol(space, rv), rv
 
 
 def build_g_tilde(space, R, G=None):
     """Triangular remainder of the R-family after the bounded peel."""
-    G = _default_grid(space, G)
+    G = G or space.extension_grid()
     th = space.theta.sample(G)
     tb = np.conj(th)
     rv = R.sample(G)
@@ -104,7 +109,7 @@ def canonical_factors(space, lam, G=None):
     factorization exists there.
     """
     lam = complex(lam)
-    G = _default_grid(space, G)
+    G = G or space.extension_grid()
     c = shift_constants(space)
     region = "outside" if abs(lam) > 1 + 1e-10 else "inside"
     warnings = []
@@ -208,7 +213,7 @@ def meromorphic_factors(space, R, G=None):
     determinant R^2; the minus side is bounded only up to the degree of
     R, which the verification treats as the allowed support.
     """
-    G = _default_grid(space, G)
+    G = G or space.extension_grid()
     symbol, rv = build_g_r(space, R, G=G)
     th = space.theta.sample(G)
     tb = np.conj(th)
@@ -250,7 +255,7 @@ def hminus_split(space, R, G=None):
     triangular symbol handled by the L^2 factorization.  Returns
     (H, remainder, residual).
     """
-    G = _default_grid(space, G)
+    G = G or space.extension_grid()
     symbol, rv = build_g_r(space, R, G=G)
     Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)
@@ -286,7 +291,7 @@ def l2_factors(space, lam, G=None):
         raise NoAdcError(
             f"no angular derivative at {lam}: the difference quotient "
             "does not belong to the model space")
-    G = _default_grid(space, G)
+    G = G or space.extension_grid()
     z = grid_points(G)
     th = space.theta.sample(G)
     tb = np.conj(th)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_band import dualband_matrix
+from .dual_band import block_w, dualband_matrix
 from .errors import CoefficientError, SingularOperatorError
-from .model_space import tto_matrix
 
 TOL_ANALYTIC = 1e-10
 
@@ -49,8 +48,7 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
     coefficients drop below 1e-14, so the largest singular value
     carries that truncation error at worst.
     """
-    fw = space.cross_symbol("fw")
-    bw = space.cross_symbol("bw")
+    fw, bw = space.ratios
     entries = {(0, 0): g, (0, 1): g * fw, (1, 0): g * bw, (1, 1): g}
     names = {(0, 0): "diagonal g", (0, 1): "g * conj(phi) psi",
              (1, 0): "g * conj(psi) phi", (1, 1): "diagonal g"}
@@ -61,7 +59,7 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
                 f"symbol entry {names[key]} is not analytic: "
                 f"co-analytic tail {tail:.3e}")
 
-    tbs = space.theta.as_symbol().conj()
+    tbs = space.basis.theta_symbol.conj()
     dicts = {key: (tbs * s).coeff_dict(tol=0.0)
              for key, s in entries.items()}
     depth = space.n
@@ -101,9 +99,10 @@ class AnalyticSpectrumReport:
 
 
 def _triangle_side(space, tol):
-    tbs = space.theta.as_symbol().conj()
-    fw_tail = _analytic_tail(tbs * space.cross_symbol("fw"))
-    bw_tail = _analytic_tail(tbs * space.cross_symbol("bw"))
+    tbs = space.basis.theta_symbol.conj()
+    fw, bw = space.ratios
+    fw_tail = _analytic_tail(tbs * fw)
+    bw_tail = _analytic_tail(tbs * bw)
     if fw_tail <= tol:
         return "lower", fw_tail, bw_tail
     if bw_tail <= tol:
@@ -160,19 +159,15 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
     residual max |W W_inverse - I|.
     """
     side, _, _ = _triangle_side(space, tol)
-    basis = space.basis
+    n = space.n
     G = space.default_grid([g] if hasattr(g, "fourier_coeffs") else ())
-    A = tto_matrix(basis, g, G=G).entries
-    fw = space.cross_symbol("fw")
-    bw = space.cross_symbol("bw")
-    B12 = tto_matrix(basis, fw * g, G=G).entries
-    B21 = tto_matrix(basis, bw * g, G=G).entries
+    W = block_w(space, g, G=G).entries
+    A, B12, B21 = W[:n, :n], W[:n, n:], W[n:, :n]
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):
         raise SingularOperatorError(
             "the diagonal block is singular; no triangular inverse")
     Ai = np.linalg.inv(A)
-    n = space.n
     Wi = np.zeros((2 * n, 2 * n), dtype=complex)
     Wi[:n, :n] = Ai
     Wi[n:, n:] = Ai
@@ -180,7 +175,6 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
         Wi[n:, :n] = -Ai @ B21 @ Ai
     else:
         Wi[:n, n:] = -Ai @ B12 @ Ai
-    W = np.block([[A, B12], [B21, A]])
     residual = float(np.max(np.abs(W @ Wi - np.eye(2 * n))))
     return Wi, {"triangle": side, "residual": residual,
                 "cond_diag": float(s[0] / s[-1])}

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .symbols import InnerFunction, LaurentSymbol, choose_grid, grid_points, memo
 
 
@@ -31,9 +30,6 @@ class OperatorMatrix:
     entries: np.ndarray
     row_basis: str
     col_basis: str
-
-    def norm2(self):
-        return float(np.linalg.norm(self.entries, 2))
 
 
 class ModelSpaceBasis:
@@ -51,6 +47,7 @@ class ModelSpaceBasis:
         if len(zeros) < 1:
             raise ValueError("theta must have degree at least one")
         self.theta = theta
+        self.theta_symbol = theta.as_symbol()   # exact rational form, built once
         self.zeros = np.asarray(zeros, dtype=complex)
         self.n = len(zeros)
         self._samples = {}
@@ -77,7 +74,7 @@ class ModelSpaceBasis:
         the given symbols."""
         objs = list(symbols)
         if not self.is_monomial:
-            objs.append(self.theta.as_symbol())
+            objs.append(self.theta_symbol)
         return choose_grid(objs, extra_span=extra_span + 2 * self.n + 2)
 
     def project_values(self, fvals):
@@ -88,20 +85,6 @@ class ModelSpaceBasis:
     def synth_values(self, coeffs, G):
         """Samples of sum_k coeffs[k] e_k on the size-G grid."""
         return np.asarray(coeffs, dtype=complex) @ self.values(G)
-
-    def gram(self, G=None):
-        G = G or self.default_grid()
-        V = self.values(G)
-        return (V @ V.conj().T).T / G
-
-
-def project_model(f, basis, G=None):
-    """Coefficients of the model-space projection of f in the basis."""
-    G = G or basis.default_grid([f] if isinstance(f, LaurentSymbol) else ())
-    fvals = f.sample(G) if hasattr(f, "sample") else np.asarray(f)
-    if fvals.size != G:
-        raise GridMismatchError("sample size does not match requested grid")
-    return basis.project_values(fvals)
 
 
 def tto_matrix(basis, g, G=None):
@@ -141,6 +124,6 @@ def ctheta_apply(basis, coeffs, R=None):
 
 
 __all__ = [
-    "OperatorMatrix", "ModelSpaceBasis", "project_model",
+    "OperatorMatrix", "ModelSpaceBasis",
     "tto_matrix", "ctheta_matrix", "ctheta_apply",
 ]

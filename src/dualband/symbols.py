@@ -19,6 +19,22 @@ two.  ``grid_fft(values)`` returns coefficients in standard FFT layout
 Quadrature means the plain grid average, which integrates trigonometric
 polynomials below the Nyquist frequency exactly.
 
+Two grid rules pick ``G`` when the caller does not:
+
+* The dense quadrature rule, ``choose_grid`` here, read through
+  ``ModelSpaceBasis.default_grid`` and ``DualBandSpace.default_grid``:
+  exact Laurent operands add their spans, the others refine from
+  ``GRID_START`` and take one extra doubling.  A grid above ``GRID_CAP``
+  raises ``CoefficientError``.  It serves the compressions on K_theta
+  and on the dual-band space.
+* The extension rule, ``DualBandSpace.extension_grid``: the quadrature
+  grid with eight more frequencies of span, raised to a floor of 4096
+  and to four times the coefficient window.  It serves every four-by-four
+  symbol (``extension`` and ``factorization``).  The floor is there
+  because the lam-dependent factor profiles (difference quotients and
+  reproducing kernels) are not among the symbols the quadrature rule
+  sees.
+
 Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and
 returned read-only.  ``eval_at`` is for points off the grid.  Grid
@@ -40,9 +56,18 @@ GRID_START = 1024
 GRID_CAP = 2 ** 20
 
 
+_GRIDS = {}
+
+
 def grid_points(G):
-    """Return the G-th roots of unity, counterclockwise from 1."""
-    return np.exp(2j * np.pi * np.arange(G) / G)
+    """The G-th roots of unity, counterclockwise from 1: one read-only
+    array per G."""
+    z = _GRIDS.get(G)
+    if z is None:
+        z = np.exp(2j * np.pi * np.arange(G) / G)
+        z.flags.writeable = False
+        _GRIDS[G] = z
+    return z
 
 
 def grid_fft(values):
@@ -76,13 +101,6 @@ def analytic_project_values(values):
     """Pointwise projection onto nonnegative frequencies (Riesz P+)."""
     c = grid_fft(values)
     c[fft_freqs(values.size) < 0] = 0.0
-    return grid_ifft(c)
-
-
-def coanalytic_project_values(values):
-    """Projection onto strictly negative frequencies (I - P+)."""
-    c = grid_fft(values)
-    c[fft_freqs(values.size) >= 0] = 0.0
     return grid_ifft(c)
 
 
@@ -180,18 +198,6 @@ class LaurentSymbol:
             lo, hi = self.support()
             return max(abs(lo), abs(hi))
         return None
-
-    def is_analytic(self, tol=0.0):
-        """True when no energy sits below frequency 0 (exact kinds only)."""
-        if self.kind == "laurent":
-            lo, _ = self.support()
-            if lo >= 0:
-                return True
-            neg = self.coeffs[:max(0, -lo)]
-            return float(np.sum(np.abs(neg) ** 2)) <= tol
-        c, lo, _ = self.fourier_coeffs()
-        idx = np.arange(lo, lo + c.size)
-        return float(np.sum(np.abs(c[idx < 0]) ** 2)) <= max(tol, TAU_ALIAS)
 
     # ----------------------------------------------------------- evaluation
     def eval_at(self, z):
@@ -333,26 +339,11 @@ class LaurentSymbol:
         raise CoefficientError("sampled symbols have no rational form")
 
     # ----------------------------------------------------------- analysis
-    def analytic_split(self, G=None):
-        """Split into (analytic part, strictly co-analytic part)."""
-        c, lo, _ = self.fourier_coeffs(G)
-        idx = np.arange(lo, lo + c.size)
-        plus = {int(j): v for j, v in zip(idx, c) if j >= 0 and v != 0}
-        minus = {int(j): v for j, v in zip(idx, c) if j < 0 and v != 0}
-        return (LaurentSymbol.from_coeffs(plus or {0: 0.0}),
-                LaurentSymbol.from_coeffs(minus or {-1: 0.0}))
-
     def tail_energy(self, band, G=None):
         """Energy sum(|c_j|^2) over the frequency mask band(frequencies)."""
         c, lo, _ = self.fourier_coeffs(G)
         idx = np.arange(lo, lo + c.size)
         return float(np.sum(np.abs(c[band(idx)]) ** 2))
-
-    def is_unimodular(self, tol=TAU_EVAL, G=None):
-        if G is None:
-            G = GRID_START if self.kind != "sampled" else self.values.size
-        v = self.sample(G)
-        return bool(np.max(np.abs(np.abs(v) - 1.0)) <= tol)
 
     def __repr__(self):
         if self.kind == "laurent":
@@ -397,12 +388,13 @@ def refine_grid(obj, start=GRID_START, tau=TAU_ALIAS, cap=GRID_CAP):
         G *= 2
 
 
-def choose_grid(objs, extra_span=0, start=GRID_START):
+def choose_grid(objs, extra_span=0):
     """Common quadrature grid for products of the given symbols.
 
     Exact Laurent operands contribute their summed spans (products convolve
     supports); other kinds are refined individually and the result receives
-    one extra doubling as a product-aliasing guard.
+    one extra doubling as a product-aliasing guard.  Raises CoefficientError
+    when the grid this needs exceeds GRID_CAP.
     """
     span_total = extra_span
     inexact = []
@@ -415,9 +407,12 @@ def choose_grid(objs, extra_span=0, start=GRID_START):
             inexact.append(o)
     G = max(64, _next_pow2(2 * span_total + 8))
     for o in inexact:
-        Go, _ = refine_grid(o, start=start)
+        Go, _ = refine_grid(o)
         G = max(G, 2 * Go)
-    return min(G, GRID_CAP)
+    if G > GRID_CAP:
+        raise CoefficientError(
+            f"the quadrature needs G={G}, above the cap {GRID_CAP}")
+    return G
 
 
 # --------------------------------------------------------------------------

@@ -99,6 +99,39 @@ class TestRun:
             (b / "nilpotent.eigs.csv").read_bytes()
 
 
+class TestNumericsGrid:
+    """A scenario's [numerics] grid reaches the tasks; --grid wins."""
+
+    @pytest.mark.parametrize("command, flags, want", [
+        ("run", [], 8192),
+        ("regold", [], 8192),
+        ("run", ["--grid", "4096"], 4096),
+    ])
+    def test_grid_reaches_factorize(self, tmp_path, monkeypatch, command,
+                                    flags, want):
+        import dualband.cli as cli
+        seen = []
+        real = cli.canonical_factors
+
+        def recording(space, lam, G=None):
+            seen.append(G)
+            return real(space, lam, G=G)
+
+        monkeypatch.setattr(cli, "canonical_factors", recording)
+        text = open(NILPOTENT, encoding="utf-8").read()
+        text = text.replace("run = all", "run = factorize")
+        text = text.replace("[tasks]", "[numerics]\ngrid = 8192\n\n[tasks]")
+        scn = tmp_path / "gridded.scn"
+        scn.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        if command == "run":
+            argv = ["run", "--scenario", str(scn), "--out", out] + flags
+        else:
+            argv = ["regold", str(tmp_path), "--out", out]
+        assert main(argv) == 0
+        assert seen and set(seen) == {want}
+
+
 class TestSugar:
     def test_single_task(self, tmp_path):
         code = main(["spectrum", "--scenario", CASE_II,

@@ -5,9 +5,10 @@ import pytest
 
 from dualband import (DegeneracyError, InnerFunction, LaurentSymbol,
                       MissingDecompositionError, OrthogonalityError,
-                      UnimodularityError, block_w, build_dualband, cm_apply,
-                      cm_matrix, cm_symmetry_residual, dualband_matrix,
-                      is_zero_operator, pm_apply, unitary_equiv_check)
+                      UnimodularityError, block_w, build_dualband, build_G,
+                      cm_apply, cm_matrix, cm_symmetry_residual,
+                      dualband_matrix, hankel_norm, is_zero_operator,
+                      pm_apply, unitary_equiv_check)
 
 Z = LaurentSymbol.monomial
 
@@ -72,6 +73,54 @@ class TestConstruction:
                             aminus=LaurentSymbol.constant(2.5))
         assert sp.mode == "free"
         assert sp.n == 1
+
+
+def free_space():
+    return build_dualband(InnerFunction.blaschke([-0.4]),
+                          aplus=LaurentSymbol.constant(2.5),
+                          aminus=LaurentSymbol.constant(2.5))
+
+
+class TestKeptPerSpace:
+    """The band ratios and theta's symbol are built with the space."""
+
+    @pytest.mark.parametrize("make, with_norm", [
+        (nilpotent_space, True), (free_space, False),
+    ], ids=["realized", "free"])
+    def test_builders_rebuild_neither(self, monkeypatch, make, with_norm):
+        sp = make()
+        bands = [b for b in (sp.phi, sp.psi, sp.aplus, sp.aminus)
+                 if b is not None]
+        seen = {"band_products": 0, "as_symbol": 0}
+        mul = LaurentSymbol.__mul__
+        as_symbol = InnerFunction.as_symbol
+
+        def counting_mul(a, b):
+            if any(x is y for x in (a, b) for y in bands):
+                seen["band_products"] += 1
+            return mul(a, b)
+
+        def counting_as_symbol(self):
+            seen["as_symbol"] += 1
+            return as_symbol(self)
+
+        monkeypatch.setattr(LaurentSymbol, "__mul__", counting_mul)
+        monkeypatch.setattr(LaurentSymbol, "__rmul__", counting_mul)
+        monkeypatch.setattr(InnerFunction, "as_symbol", counting_as_symbol)
+        g = Z(3)
+        block_w(sp, g)
+        block_w(sp, g)
+        build_G(sp, g=g)
+        if with_norm:
+            hankel_norm(sp, g)
+        assert seen == {"band_products": 0, "as_symbol": 0}
+
+    def test_ratios_are_conjugate_pair(self):
+        for sp in (twist_space(), free_space()):
+            fw, bw = sp.ratios
+            G = sp.default_grid()
+            assert np.max(np.abs(np.conj(fw.sample(G)) - bw.sample(G))) \
+                < 1e-14
 
 
 class TestProjection:

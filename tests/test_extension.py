@@ -205,3 +205,22 @@ class TestInverse:
         sp = nilpotent_space()
         with pytest.raises(SingularOperatorError):
             inverse_via_extension(sp, Z(1), [1, 0, 0, 0])
+
+    def test_finite_section_on_the_space_grid(self):
+        # the twist band at n = 32 needs G = 8192; a fixed 2048 grid
+        # aliased the extension symbol and left residuals near 1e-11
+        n, a = 32, 0.5
+        num = [0.0] * (2 * n + 1)
+        den = [0.0] * (2 * n + 1)
+        num[0], num[2 * n] = -a, 1.0
+        den[0], den[2 * n] = 1.0, -a
+        psi = Z(n).conj() * LaurentSymbol.rational(num, den)
+        sp = build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi)
+        g = LaurentSymbol.from_coeffs([1.0, 0.3, -0.2], 0)
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        _, cert = inverse_via_extension(sp, g, h)
+        assert cert.method == "finite-section"
+        assert cert.residual <= 1e-13
+        assert cert.direct_gap <= 1e-13
+        assert range_test(sp, g, h).agree

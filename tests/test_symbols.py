@@ -5,8 +5,9 @@ import pytest
 
 from dualband import (CoefficientError, GridMismatchError, InnerFunction,
                       LaurentSymbol, PoleError)
-from dualband.symbols import (analytic_project_values, difference_quotient,
-                              grid_points, refine_grid)
+from dualband.symbols import (GRID_CAP, TAU_EVAL, analytic_project_values,
+                              choose_grid, difference_quotient, grid_points,
+                              refine_grid)
 
 
 def coeffs_of(sym, G=64):
@@ -95,16 +96,21 @@ class TestArithmetic:
 class TestSplitAndTails:
     def test_analytic_split_parts(self):
         s = LaurentSymbol.from_coeffs({-1: 1.0, 0: 3.0, 1: 1.0})
-        plus, minus = s.analytic_split()
-        assert coeffs_of(plus, G=16) == {0: pytest.approx(3.0),
-                                         1: pytest.approx(1.0)}
-        assert coeffs_of(minus, G=16) == {-1: pytest.approx(1.0)}
+        plus = analytic_project_values(s.sample(16))
+        minus = s.sample(16) - plus
+        assert coeffs_of(LaurentSymbol.sampled(plus), G=16) == {
+            0: pytest.approx(3.0), 1: pytest.approx(1.0)}
+        assert coeffs_of(LaurentSymbol.sampled(minus), G=16) == {
+            -1: pytest.approx(1.0)}
 
     def test_split_sum_reconstructs(self):
         s = LaurentSymbol.from_coeffs({-3: 2.0j, -1: 1.0, 2: -0.5})
-        plus, minus = s.analytic_split()
-        diff = (plus + minus).sample(32) - s.sample(32)
-        assert np.max(np.abs(diff)) < 1e-13
+        plus = analytic_project_values(s.sample(32))
+        minus = s.sample(32) - plus
+        want_plus = LaurentSymbol.from_coeffs({2: -0.5}).sample(32)
+        want_minus = LaurentSymbol.from_coeffs({-3: 2.0j, -1: 1.0}).sample(32)
+        assert np.max(np.abs(plus - want_plus)) < 1e-13
+        assert np.max(np.abs(minus - want_minus)) < 1e-13
 
     def test_tail_energy_coanalytic(self):
         s = LaurentSymbol.monomial(2).conj()
@@ -121,17 +127,23 @@ class TestSplitAndTails:
 
 
 class TestUnimodular:
+    """|s| = 1 on the grid, to the pointwise tolerance TAU_EVAL."""
+
+    @staticmethod
+    def unimodular(s, G=1024):
+        return np.max(np.abs(np.abs(s.sample(G)) - 1.0)) <= TAU_EVAL
+
     def test_monomial_unimodular(self):
-        assert LaurentSymbol.monomial(3).is_unimodular()
+        assert self.unimodular(LaurentSymbol.monomial(3))
 
     def test_scaled_not_unimodular(self):
         s = LaurentSymbol.monomial(1) * LaurentSymbol.constant(2.0)
-        assert not s.is_unimodular()
+        assert not self.unimodular(s)
 
     def test_twisted_band_unimodular(self):
         s = LaurentSymbol.monomial(2).conj() * \
             LaurentSymbol.rational([-0.5, 0, 0, 0, 1], [1, 0, 0, 0, -0.5])
-        assert s.is_unimodular()
+        assert self.unimodular(s)
 
 
 class TestInnerFunctions:
@@ -167,6 +179,19 @@ class TestGrids:
         G, alias = refine_grid(s)
         assert G >= 1024 and (G & (G - 1)) == 0
         assert alias < 1e-12
+
+    def test_choose_grid_raises_above_cap(self):
+        # the span 2**19 needs G = 2**21, twice the cap
+        assert choose_grid([LaurentSymbol.monomial(2 ** 18)]) == GRID_CAP
+        with pytest.raises(CoefficientError, match="G=2097152"):
+            choose_grid([LaurentSymbol.monomial(2 ** 19)])
+
+    def test_grid_points_one_readonly_array(self):
+        z = grid_points(64)
+        assert grid_points(64) is z
+        assert z.tobytes() == np.exp(2j * np.pi * np.arange(64) / 64).tobytes()
+        with pytest.raises(ValueError):
+            z[0] = 0.0
 
     def test_analytic_projection_kills_negative(self):
         s = LaurentSymbol.from_coeffs({-2: 1.0, 1: 1.0})
