@@ -11,8 +11,8 @@ factorizations with resolvents built from them, and Hankel expressions
 for norms and spectra of analytic symbols.
 """
 
-from .dual_band import (DualBandSpace, block_w, build_dualband, cm_apply,
-                        cm_matrix, cm_symmetry_residual, dualband_matrix,
+from .dual_band import (DualBandSpace, block_w, build_dualband, cm_matrix,
+                        cm_symmetry_residual, dualband_matrix,
                         is_zero_operator, pm_apply, unitary_equiv_check)
 from .errors import (CoefficientError, CutoffError, DegeneracyError,
                      DualbandError, EigenvalueEncounteredError,
@@ -29,8 +29,7 @@ from .factorization import (FactorizationResult, build_g_r, build_g_tilde,
                             verify_factorization)
 from .hankel import analytic_spectrum, hankel_norm, triangular_w_inverse
 from .matsym import MatrixSymbol
-from .model_space import (ModelSpaceBasis, ctheta_apply, ctheta_matrix,
-                          tto_matrix)
+from .model_space import ModelSpaceBasis, ctheta_matrix, tto_matrix
 from .scenario import Scenario, build_space, parse_scenario, parse_scenario_text
 from .shift_spectra import (adc_test, classify, delta, delta_tilde,
                             eigvec_build, essential_spectrum, point_spectrum,
@@ -41,9 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentSymbol", "InnerFunction", "ModelSpaceBasis", "tto_matrix",
-    "ctheta_matrix", "ctheta_apply", "DualBandSpace",
+    "ctheta_matrix", "DualBandSpace",
     "build_dualband", "dualband_matrix", "block_w", "pm_apply",
-    "unitary_equiv_check", "is_zero_operator", "cm_matrix", "cm_apply",
+    "unitary_equiv_check", "is_zero_operator", "cm_matrix",
     "cm_symmetry_residual", "MatrixSymbol", "build_G", "ExtensionVector",
     "kernel_lift", "kernel_project", "rh_residual", "range_test",
     "adjoint_kernel_map", "inverse_via_extension", "shift_constants",

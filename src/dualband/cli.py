@@ -104,7 +104,7 @@ def _task_validate(space, scn, opts):
 
 def _task_spectrum(space, scn, opts):
     lim = _limit(opts, "spectrum")
-    rep = point_spectrum(space, G=opts.get("grid"))
+    rep = point_spectrum(space)
     points = []
     violations = []
     for p in rep.points:
@@ -128,7 +128,7 @@ def _task_spectrum(space, scn, opts):
 
 def _task_kernel(space, scn, opts):
     lim = _limit(opts, "kernel")
-    rep = point_spectrum(space, cross_check=False, G=opts.get("grid"))
+    rep = point_spectrum(space, cross_check=False)
     n_ext = opts.get("cutoff") or 128
     entries = []
     violations = []

@@ -80,10 +80,6 @@ class DualBandSpace:
                 "this construction needs the band-ratio split")
         return np.conj(self.aplus.sample(G)), self.aminus.sample(G)
 
-    def half_synth(self, coords_half, G):
-        """Samples of a single K_theta element from basis coordinates."""
-        return self.basis.synth_values(coords_half, G)
-
     def default_grid(self, symbols=(), extra_span=0):
         syms = list(symbols)
         if self.mode == "realized":
@@ -339,12 +335,6 @@ def cm_matrix(space, G=None):
     return J
 
 
-def cm_apply(space, coords, J=None):
-    if J is None:
-        J = cm_matrix(space)
-    return J @ np.conj(np.asarray(coords, dtype=complex))
-
-
 def cm_symmetry_residual(space, g, G=None):
     """max |T J - J T^t|; zero exactly when T C = C T*."""
     T = dualband_matrix(space, g, G=G).entries
@@ -355,5 +345,5 @@ def cm_symmetry_residual(space, g, G=None):
 __all__ = [
     "DualBandSpace", "build_dualband", "pm_apply", "block_w",
     "dualband_matrix", "unitary_equiv_check", "is_zero_operator",
-    "cm_matrix", "cm_apply", "cm_symmetry_residual",
+    "cm_matrix", "cm_symmetry_residual",
 ]

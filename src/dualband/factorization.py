@@ -418,8 +418,8 @@ def resolvent_apply(space, lam, h_coords, G=None):
     Gq = res.grid
     n = space.n
     h = np.asarray(h_coords, dtype=complex)
-    h1 = space.half_synth(h[:n], Gq)
-    h2 = space.half_synth(h[n:], Gq)
+    h1 = space.basis.synth_values(h[:n], Gq)
+    h2 = space.basis.synth_values(h[n:], Gq)
     o = np.zeros(Gq, dtype=complex)
     H = np.vstack([o, o, h1, h2])
 

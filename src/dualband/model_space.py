@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import InnerFunction, LaurentSymbol, choose_grid, grid_points, memo
+from .symbols import InnerFunction, LaurentSymbol, choose_grid, memo
 
 
 @dataclass
@@ -51,6 +51,7 @@ class ModelSpaceBasis:
         self.zeros = np.asarray(zeros, dtype=complex)
         self.n = len(zeros)
         self._samples = {}
+        self._ctheta = {}
 
     @property
     def is_monomial(self):
@@ -58,9 +59,11 @@ class ModelSpaceBasis:
 
     def values(self, G):
         """(n, G) array of basis samples on the size-G grid."""
-        return memo(self._samples, G, self._evaluate)
+        return memo(self._samples, G, self.eval_at)
 
-    def _evaluate(self, z):
+    def eval_at(self, z):
+        """(n, m) basis values at any points z off the poles; for w in
+        the disc, conj(e(w)) are the coordinates of the kernel k_w."""
         out = np.empty((self.n, z.size), dtype=complex)
         tail = np.ones(z.size, dtype=complex)
         for k, a in enumerate(self.zeros):
@@ -106,24 +109,20 @@ def ctheta_matrix(basis, G=None):
     """Antilinear conjugation C f = theta * conj(z f) in basis coordinates.
 
     Returns the matrix R with (C v)_coords = R @ conj(v_coords); R is
-    complex symmetric and R @ conj(R) is the identity.
+    complex symmetric and R @ conj(R) is the identity.  R is kept on the
+    basis per grid size (``memo``) and returned read-only.
     """
     G = G or basis.default_grid()
-    z = grid_points(G)
-    th = basis.theta.sample(G)
-    V = basis.values(G)
-    CV = th * np.conj(z) * np.conj(V)      # rows are C(e_k) samples
-    R = (V.conj() @ CV.T) / G              # R[l, k] = <C e_k, e_l>
-    return R
 
+    def evaluate(z):
+        V = basis.values(G)
+        CV = basis.theta.sample(G) * np.conj(z) * np.conj(V)   # C(e_k) rows
+        return (V.conj() @ CV.T) / G       # R[l, k] = <C e_k, e_l>
 
-def ctheta_apply(basis, coeffs, R=None):
-    if R is None:
-        R = ctheta_matrix(basis)
-    return R @ np.conj(np.asarray(coeffs, dtype=complex))
+    return memo(basis._ctheta, G, evaluate)
 
 
 __all__ = [
     "OperatorMatrix", "ModelSpaceBasis",
-    "tto_matrix", "ctheta_matrix", "ctheta_apply",
+    "tto_matrix", "ctheta_matrix",
 ]

@@ -14,18 +14,27 @@ exactly when a two-by-two determinant vanishes:
     outside the closed disc: delta_tilde(lam) =
         1 - kappa (tbar - tau)^2,   tau = conj(theta(1 / conj(lam))).
 
-Kernel functions are multiples of the difference quotient
-(theta - theta(lam)) / (z - lam) inside, and of the reproducing kernel
-at 1/conj(lam) outside.  ``point_spectrum`` solves delta = 0 in closed
-form through the substitution w = theta(lam), which turns the problem
-into one quadratic in w followed by polynomial root finding for
-theta(lam) = w; this covers every finite Blaschke product.
+Kernel functions are multiples of one profile, whose coordinates
+``eigvec_build`` reads in closed form.  With e(w) the basis at w
+(``ModelSpaceBasis.eval_at``), k_w the reproducing kernel, of coordinates
+conj(e(w)), and R the conjugation C f = theta conj(z f) (``ctheta_matrix``):
+
+    inside / on the circle: (theta - theta(lam)) / (z - lam) = C k_lam,
+        coordinates R e(lam);
+    outside: (1 - tau theta) / (z - lam) = -k_mu / lam, mu = 1/conj(lam),
+        coordinates -conj(e(mu)) / lam.
+
+``point_spectrum`` solves delta = 0 in closed form through the
+substitution w = theta(lam), which turns the problem into one quadratic
+in w followed by polynomial root finding for theta(lam) = w; this covers
+every finite Blaschke product.
 
 Every check against a dense matrix reads one matrix per space, T_z =
 ``space.shift_matrix()``.  The band basis is orthonormal, so the matrix
 of the compression of z - lam is exactly T_z - lam I: eigenvector and
-resolvent residuals are measured as || T_z v - lam v || with no
-per-point quadrature.
+resolvent residuals are measured as || T_z v - lam v ||.  T_z stays the
+quadrature ``dualband_matrix(space, z)``, so the eigen-residual checks
+the closed form against an independent computation.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAnEigenvalueError
-from .symbols import TAU_ROOT, difference_quotient, grid_points
+from .model_space import ctheta_matrix
+from .symbols import TAU_ROOT
 
 TOL_NULL = 1e-8
 TOL_BOUNDARY = 1e-10
@@ -108,31 +118,31 @@ def _pair_matrix_outside(c, tau):
                      [c.beta * (c.tbar - tau), 1.0]], dtype=complex)
 
 
-def eigvec_build(space, lam, G=None):
+def eigvec_build(space, lam):
     """Kernel coordinates of the compression of (z - lam).
 
     Returns a (k, 2n) array of band coordinates, one row per kernel
-    dimension.  Raises NotAnEigenvalueError when the two-by-two pair
-    matrix is invertible at lam.
+    dimension, read in closed form (module docstring).  Raises
+    NotAnEigenvalueError when the two-by-two pair matrix is invertible.
     """
     c = shift_constants(space)
     region = _region(lam)
     lam = complex(lam)
-    G = G or space.default_grid(extra_span=4)
+    basis = space.basis
     if region == "outside":
-        tau = np.conj(space.theta.eval_at(1.0 / np.conj(lam)))
+        mu = 1.0 / np.conj(lam)
+        tau = np.conj(space.theta.eval_at(mu))
         m = _pair_matrix_outside(c, tau)
-        profile = (1 - tau * space.theta.sample(G)) / (grid_points(G) - lam)
+        p = -np.conj(basis.eval_at(np.array([mu]))[:, 0]) / lam
     else:
         thl = complex(space.theta.eval_at(lam))
         m = _pair_matrix_inside(c, thl)
-        profile = difference_quotient(space.theta, lam, G)
+        p = ctheta_matrix(basis) @ basis.eval_at(np.array([lam]))[:, 0]
     nullity, rows = _nullspace_2x2(m)
     if nullity == 0:
         raise NotAnEigenvalueError(
             f"pair matrix at {lam} has no kernel (smin relative to "
             f"scale exceeds {TOL_NULL})")
-    p = space.basis.project_values(profile)
     out = np.zeros((nullity, 2 * space.n), dtype=complex)
     for i, (c1, c2) in enumerate(rows):
         out[i, :space.n] = c1 * p
@@ -235,7 +245,7 @@ class SpectrumReport:
         return [p.lam for p in self.points]
 
 
-def point_spectrum(space, cross_check=True, G=None):
+def point_spectrum(space, cross_check=True):
     """Every lam in the plane where the compression of z - lam has
     nontrivial kernel, with kernel dimensions, vectors and residuals.
 
@@ -268,7 +278,7 @@ def point_spectrum(space, cross_check=True, G=None):
         det_val = delta_tilde(space, lam) if region == "outside" \
             else delta(space, lam)
         try:
-            coords = eigvec_build(space, lam, G=G)
+            coords = eigvec_build(space, lam)
         except NotAnEigenvalueError:
             continue
         res = 0.0
@@ -383,36 +393,24 @@ def classify(space, lam, tol_det=1e-9):
     """
     lam = complex(lam)
     region = _region(lam)
-    if region == "outside":
-        d = delta_tilde(space, lam)
-        if abs(d) <= tol_det:
-            vecs = eigvec_build(space, lam)
-            return ClassifyResult(lam, region, "eigenvalue", d,
-                                  vecs.shape[0], None)
-        return ClassifyResult(lam, region, "resolvent-point", d, 0, None)
-    if region == "inside":
-        d = delta(space, lam)
-        if abs(d) <= tol_det:
-            vecs = eigvec_build(space, lam)
-            return ClassifyResult(lam, region, "eigenvalue", d,
-                                  vecs.shape[0], None)
-        return ClassifyResult(lam, region, "resolvent-point", d, 0, None)
-
-    zeta = lam / abs(lam)
-    adc = adc_test(space.theta, zeta)
-    if not adc.has_adc:
-        return ClassifyResult(lam, region, "essential", 0j, 0, adc,
-                              "no angular derivative at this direction")
-    d = delta(space, lam)
+    adc = None
+    if region == "boundary":
+        zeta = lam / abs(lam)
+        adc = adc_test(space.theta, zeta)
+        if not adc.has_adc:
+            return ClassifyResult(lam, region, "essential", 0j, 0, adc,
+                                  "no angular derivative at this direction")
+    d = delta_tilde(space, lam) if region == "outside" else delta(space, lam)
     if abs(d) <= tol_det:
         vecs = eigvec_build(space, lam)
         return ClassifyResult(lam, region, "eigenvalue", d,
                               vecs.shape[0], adc)
-    pts, evidence = essential_spectrum(space)
-    near = [p for p in pts if abs(p - zeta) <= 1e-9]
-    if near:
-        return ClassifyResult(lam, region, "essential", d, 0, adc,
-                              "boundary cluster point of the inner function")
+    if region == "boundary":
+        pts, _ = essential_spectrum(space)
+        if any(abs(p - zeta) <= 1e-9 for p in pts):
+            return ClassifyResult(
+                lam, region, "essential", d, 0, adc,
+                "boundary cluster point of the inner function")
     return ClassifyResult(lam, region, "resolvent-point", d, 0, adc)
 
 

@@ -39,7 +39,8 @@ Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and
 returned read-only.  ``eval_at`` is for points off the grid.  Grid
 readers take the grid size, not the points: ``difference_quotient``
-reads ``theta.sample(G)`` for every new lam.
+reads ``theta.sample(G)`` for every new lam and serves only the
+factorizations; the spectrum path samples nothing per lam.
 """
 
 from __future__ import annotations

@@ -22,6 +22,22 @@ def twist_space():
     return build_dualband(InnerFunction.monomial(2), phi=Z(0), psi=psi)
 
 
+def twist32_general():
+    """(space, g, h): the twist band at n = 32, a = 0.5, with a general
+    symbol g that has no factorization route."""
+    n, a = 32, 0.5
+    num = [0.0] * (2 * n + 1)
+    den = [0.0] * (2 * n + 1)
+    num[0], num[2 * n] = -a, 1.0
+    den[0], den[2 * n] = 1.0, -a
+    psi = Z(n).conj() * LaurentSymbol.rational(num, den)
+    sp = build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi)
+    g = LaurentSymbol.from_coeffs([1.0, 0.3, -0.2], 0)
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    return sp, g, h
+
+
 def grid_det(Gsym):
     return np.linalg.det(np.transpose(Gsym.values, (2, 0, 1)))
 
@@ -209,18 +225,19 @@ class TestInverse:
     def test_finite_section_on_the_space_grid(self):
         # the twist band at n = 32 needs G = 8192; a fixed 2048 grid
         # aliased the extension symbol and left residuals near 1e-11
-        n, a = 32, 0.5
-        num = [0.0] * (2 * n + 1)
-        den = [0.0] * (2 * n + 1)
-        num[0], num[2 * n] = -a, 1.0
-        den[0], den[2 * n] = 1.0, -a
-        psi = Z(n).conj() * LaurentSymbol.rational(num, den)
-        sp = build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi)
-        g = LaurentSymbol.from_coeffs([1.0, 0.3, -0.2], 0)
-        rng = np.random.default_rng(7)
-        h = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        sp, g, h = twist32_general()
         _, cert = inverse_via_extension(sp, g, h)
         assert cert.method == "finite-section"
         assert cert.residual <= 1e-13
         assert cert.direct_gap <= 1e-13
         assert range_test(sp, g, h).agree
+
+    def test_finite_section_cond_is_the_compression_s(self):
+        # the finite section of this case has cond ~ 1e19 while the solve
+        # is exact; the certificate reports the dense compression instead
+        sp, g, h = twist32_general()
+        _, cert = inverse_via_extension(sp, g, h)
+        s = np.linalg.svd(dualband_matrix(sp, g).entries, compute_uv=False)
+        assert cert.method == "finite-section"
+        assert cert.cond == s[0] / s[-1]
+        assert cert.cond <= 1e3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualband import (InnerFunction, LaurentSymbol, ModelSpaceBasis,
-                      ctheta_apply, ctheta_matrix, tto_matrix)
+                      ctheta_matrix, tto_matrix)
 
 
 def z_power_basis():
@@ -103,12 +103,14 @@ class TestCompression:
 class TestConjugation:
     def test_monomial_flip(self):
         basis = z_power_basis()
-        out = ctheta_apply(basis, np.array([1.0, 0.0], dtype=complex))
+        v = np.array([1.0, 0.0], dtype=complex)
+        out = ctheta_matrix(basis) @ np.conj(v)
         assert out == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_antilinear(self):
         basis = z_power_basis()
-        out = ctheta_apply(basis, np.array([1.0j, 0.0], dtype=complex))
+        v = np.array([1.0j, 0.0], dtype=complex)
+        out = ctheta_matrix(basis) @ np.conj(v)
         assert out == pytest.approx([0.0, -1.0j], abs=1e-12)
 
     def test_involution(self):
@@ -118,6 +120,17 @@ class TestConjugation:
         R = ctheta_matrix(basis)
         back = R @ np.conj(R @ np.conj(v))
         assert np.max(np.abs(back - v)) < 1e-10
+
+    def test_kept_per_grid_read_only(self):
+        basis = ModelSpaceBasis(InnerFunction.blaschke([0.3, -0.5j]))
+        G = basis.default_grid()
+        R = ctheta_matrix(basis)
+        assert ctheta_matrix(basis) is R
+        assert ctheta_matrix(basis, G=G) is R
+        assert not R.flags.writeable
+        R2 = ctheta_matrix(basis, G=2 * G)
+        assert R2 is not R
+        assert np.max(np.abs(R2 - R)) < 1e-14
 
     def test_c_symmetry_of_compressions(self):
         basis = ModelSpaceBasis(InnerFunction.blaschke([0.3, -0.5j]))

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 import dualband.dual_band
+import dualband.shift_spectra as ss
+import dualband.symbols
 from dualband import (InnerFunction, LaurentSymbol, NotAnEigenvalueError,
                       adc_test, build_dualband, classify, delta, delta_tilde,
                       dualband_matrix, eigvec_build, essential_spectrum,
                       point_spectrum, resolvent_apply, shift_constants,
                       solve_theta_equals)
+from dualband.model_space import ModelSpaceBasis
+from dualband.symbols import difference_quotient, grid_points
 
 Z = LaurentSymbol.monomial
 
@@ -28,6 +32,21 @@ def two_sided_space():
     return build_dualband(InnerFunction.blaschke([-0.4]),
                           aplus=LaurentSymbol.from_coeffs({0: 2.5}),
                           aminus=LaurentSymbol.from_coeffs({0: 2.5}))
+
+
+def free_space(aplus, aminus):
+    """Free mode over a degree-3 non-monomial Blaschke theta."""
+    return build_dualband(InnerFunction.blaschke([0.3, -0.5j, 0.2 + 0.4j]),
+                          aplus=LaurentSymbol.from_coeffs(aplus),
+                          aminus=LaurentSymbol.from_coeffs(aminus))
+
+
+def free_inside_space():
+    return free_space({0: 0.8, 1: 0.3}, {0: 0.6, -1: -0.2})
+
+
+def free_outside_space():
+    return free_space({0: 1.5, 2: 0.4j}, {0: 0.9, -1: 0.3})
 
 
 class TestConstants:
@@ -95,6 +114,65 @@ class TestEigenvectors:
     def test_rejects_resolvent_point(self):
         with pytest.raises(NotAnEigenvalueError):
             eigvec_build(nilpotent_space(), 0.5)
+
+
+def quadrature_rows(sp, lam):
+    """Kernel rows from the sampled profile, projected on a grid: the
+    difference quotient inside, (1 - tau theta) / (z - lam) outside."""
+    c = shift_constants(sp)
+    G = sp.default_grid(extra_span=4)
+    if ss._region(lam) == "outside":
+        tau = np.conj(sp.theta.eval_at(1.0 / np.conj(lam)))
+        m = ss._pair_matrix_outside(c, tau)
+        profile = (1 - tau * sp.theta.sample(G)) / (grid_points(G) - lam)
+    else:
+        m = ss._pair_matrix_inside(c, complex(sp.theta.eval_at(lam)))
+        profile = difference_quotient(sp.theta, lam, G)
+    p = sp.basis.project_values(profile)
+    _, rows = ss._nullspace_2x2(m)
+    return np.array([np.concatenate([c1 * p, c2 * p]) for c1, c2 in rows])
+
+
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("make, region", [
+        (twist_space, "inside"), (two_sided_space, "outside"),
+        (free_inside_space, "inside"), (free_outside_space, "outside")])
+    def test_matches_quadrature(self, make, region):
+        sp = make()
+        pts = point_spectrum(sp, cross_check=False).points
+        assert pts and all(p.region == region for p in pts)
+        for p in pts:
+            got = eigvec_build(sp, p.lam)
+            want = quadrature_rows(sp, p.lam)
+            assert got.shape == want.shape
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("make", (twist_space, two_sided_space,
+                                      free_inside_space, free_outside_space))
+    def test_new_lambda_reads_no_grid(self, make, monkeypatch):
+        sp = make()
+        lams = [p.lam for p in point_spectrum(sp, cross_check=False).points]
+        eigvec_build(sp, lams[0])
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ModelSpaceBasis, "values",
+                            counting("values", ModelSpaceBasis.values))
+        monkeypatch.setattr(InnerFunction, "sample",
+                            counting("sample", InnerFunction.sample))
+        dq = counting("difference_quotient", difference_quotient)
+        monkeypatch.setattr(dualband.symbols, "difference_quotient", dq)
+        monkeypatch.setattr(ss, "difference_quotient", dq, raising=False)
+        for lam in lams[1:]:
+            eigvec_build(sp, lam)
+        assert len(lams) > 1
+        assert calls == []
 
 
 class TestPointSpectrum:
