@@ -192,9 +192,9 @@ def solve_theta_equals(theta, w, tol=TAU_ROOT):
     p = p[first:]
     if len(p) < 2:
         return np.zeros(0, dtype=complex)
-    good = [complex(r) for r in np.roots(p)
-            if abs(theta.eval_at(r) - w) <= max(tol, 1e-9 * max(1.0, abs(w)))]
-    return np.array(good, dtype=complex)
+    roots = np.roots(p).astype(complex)
+    ok = np.abs(theta.eval_at(roots) - w) <= max(tol, 1e-9 * max(1.0, abs(w)))
+    return roots[ok]
 
 
 def _w_roots(c):
@@ -309,8 +309,9 @@ def _matrix_cross_check(space, points):
     spurious = [f for f in formula
                 if min(abs(e - f) for e in eigs) > 1e-6]
     return {
-        "matrix_eigs": sorted([complex(e) for e in eigs],
-                              key=lambda v: (abs(v), np.angle(v + 0j))),
+        "matrix_eigs": sorted(
+            [complex(e) for e in eigs],
+            key=lambda v: (round(abs(v), 12), np.angle(v + 0j))),
         "unmatched_matrix_eigs": missed,
         "unmatched_formula_points": spurious,
         "agrees": not missed and not spurious,

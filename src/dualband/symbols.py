@@ -37,7 +37,10 @@ Two grid rules pick ``G`` when the caller does not:
 
 Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and
-returned read-only.  ``eval_at`` is for points off the grid.  Grid
+returned read-only.  The exact kinds sample by one inverse FFT of their
+coefficients, each folded to FFT index k mod G (colliding ones add): on
+the G-th roots of unity z**k = z**(k mod G), so this is exact for every
+G, spans above G/2 included.  ``eval_at`` is for points off the grid.  Grid
 readers take the grid size, not the points: ``difference_quotient``
 reads ``theta.sample(G)`` for every new lam and serves only the
 factorizations; the spectrum path samples nothing per lam.
@@ -232,7 +235,16 @@ class LaurentSymbol:
                 raise GridMismatchError(
                     f"sampled on {self.values.size}, asked for {G}")
             return self.values.copy()
-        return memo(self._samples, G, self.eval_at)
+        return memo(self._samples, G, self._grid_values)
+
+    def _grid_values(self, z):
+        """Values on the grid z: inverse FFTs of the folded coefficients."""
+        if self.kind == "laurent":
+            return _fold_ifft(self.coeffs, self.offset, z.size)
+        denv = _fold_ifft(self.den, 0, z.size)
+        if np.any(np.abs(denv) < 1e-13):
+            raise PoleError("evaluation at a pole of the symbol")
+        return _fold_ifft(self.num, self.shift, z.size) / denv
 
     # ----------------------------------------------------------- transforms
     def fourier_coeffs(self, G=None):
@@ -353,6 +365,13 @@ class LaurentSymbol:
             return (f"LaurentSymbol(rational, deg_num={self.num.size - 1}, "
                     f"deg_den={self.den.size - 1}, shift={self.shift})")
         return f"LaurentSymbol(sampled, G={self.values.size})"
+
+
+def _fold_ifft(coeffs, lo, G):
+    """sum_i coeffs[i] * z**(lo + i) on the size-G grid, folded mod G."""
+    c = np.zeros(G, dtype=complex)
+    np.add.at(c, (lo + np.arange(coeffs.size)) % G, coeffs)
+    return grid_ifft(c)
 
 
 def _next_pow2(n):

@@ -79,7 +79,7 @@ class TestRun:
 
     def test_impossible_tolerance_exit_two(self, tmp_path):
         code = main(["run", "--scenario", NILPOTENT, "--out", str(tmp_path),
-                     "--tol", "1e-16", "--tasks", "validate"])
+                     "--tol", "1e-20", "--tasks", "validate"])
         assert code == 2
         rep = read_json(tmp_path / "nilpotent.report.json")
         assert not rep["tasks"]["validate"]["ok"]

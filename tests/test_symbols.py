@@ -5,13 +5,31 @@ import pytest
 
 from dualband import (CoefficientError, GridMismatchError, InnerFunction,
                       LaurentSymbol, PoleError)
+from dualband.dual_band import build_dualband
 from dualband.symbols import (GRID_CAP, TAU_EVAL, analytic_project_values,
-                              choose_grid, difference_quotient, grid_points,
-                              refine_grid)
+                              choose_grid, difference_quotient, grid_ifft,
+                              grid_points, refine_grid)
 
 
 def coeffs_of(sym, G=64):
     return sym.coeff_dict(G=G, tol=1e-13)
+
+
+def folded(coeffs, lo, G):
+    """Reference grid samples of sum coeffs[i] z**(lo + i): each
+    coefficient added at FFT index (lo + i) mod G, one inverse FFT."""
+    c = np.zeros(G, dtype=complex)
+    for i, v in enumerate(coeffs):
+        c[(lo + i) % G] += v
+    return grid_ifft(c)
+
+
+def grid_reference(obj, G):
+    if isinstance(obj, InnerFunction):
+        return obj.eval_at(grid_points(G))
+    if obj.kind == "laurent":
+        return folded(obj.coeffs, obj.offset, G)
+    return folded(obj.num, obj.shift, G) / folded(obj.den, 0, G)
 
 
 class TestEval:
@@ -209,12 +227,35 @@ class TestSampleMemo:
     def test_one_readonly_array_per_grid(self, obj):
         v32 = obj.sample(32)
         assert obj.sample(32) is v32
-        assert v32.tobytes() == obj.eval_at(grid_points(32)).tobytes()
+        assert v32.tobytes() == grid_reference(obj, 32).tobytes()
         with pytest.raises(ValueError):
             v32[0] = 0.0
         v64 = obj.sample(64)
         assert v64 is not v32 and v64.size == 64
         assert obj.sample(32) is v32
+
+    def test_exact_kinds_make_no_grid_eval(self, monkeypatch):
+        grid_sized = []
+        eval_at = LaurentSymbol.eval_at
+
+        def wrapped(self, z):
+            if np.size(z) == 64:
+                grid_sized.append(self)
+            return eval_at(self, z)
+        monkeypatch.setattr(LaurentSymbol, "eval_at", wrapped)
+        LaurentSymbol.from_coeffs({-2: 0.5j, 0: 1.0, 3: -0.25}).sample(64)
+        LaurentSymbol.rational([1.0, 0.3], [1.0, 0.0, -0.5], -1).sample(64)
+        assert grid_sized == []
+
+    @pytest.mark.parametrize("obj", [
+        LaurentSymbol.from_coeffs({-9: 0.3, 0: 0.5j, 7: 1.0, 23: -0.25}),
+        LaurentSymbol.rational([0.2] + [0.0] * 15 + [1.0, 0.3],
+                               [1.0, 0.0, -0.5], shift=-11),
+    ], ids=["laurent", "rational"])
+    def test_terms_a_grid_apart_fold(self, obj):
+        # spans wider than G: z**k and z**(k + G) agree on the grid
+        z = grid_points(16)
+        assert np.max(np.abs(obj.sample(16) - obj.eval_at(z))) <= 1e-14
 
     def test_sampled_kind_still_copies_and_checks(self):
         s = LaurentSymbol.sampled(grid_points(32))
@@ -223,6 +264,39 @@ class TestSampleMemo:
         assert s.sample(32)[0] == 1.0
         with pytest.raises(GridMismatchError):
             s.sample(64)
+
+
+class TestGridOracle:
+    def test_twist_split_and_psi_on_the_grid(self):
+        # the twist at n = 64: a split 3969 coefficients wide and a
+        # rational psi with poles near the circle, against 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        n, a, G = 64, 0.5, 16384
+        num = np.zeros(2 * n + 1)
+        den = np.zeros(2 * n + 1)
+        num[0], num[2 * n] = -a, 1.0
+        den[0], den[2 * n] = 1.0, -a
+        psi = (LaurentSymbol.monomial(n).conj()
+               * LaurentSymbol.rational(num, den))
+        sp = build_dualband(InnerFunction.monomial(n),
+                            phi=LaurentSymbol.constant(1.0), psi=psi)
+        assert sp.aminus.support() == (-3968, 0)
+
+        def poly(coeffs, lo, z):
+            return mpmath.fsum(mpmath.mpc(complex(c)) * z ** (lo + i)
+                               for i, c in enumerate(coeffs) if c != 0)
+
+        with mpmath.workdps(40):
+            for sym in (sp.aplus, sp.aminus, sp.psi):
+                vals = sym.sample(G)
+                for j in range(0, G, 97):
+                    z = mpmath.expjpi(mpmath.mpf(2 * j) / G)
+                    if sym.kind == "laurent":
+                        ref = poly(sym.coeffs, sym.offset, z)
+                    else:
+                        ref = (poly(sym.num, sym.shift, z)
+                               / poly(sym.den, 0, z))
+                    assert abs(complex(ref) - vals[j]) <= 2e-15
 
 
 class TestDifferenceQuotient:
