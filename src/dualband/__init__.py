@@ -17,7 +17,7 @@ from .dual_band import (DualBandSpace, block_w, build_dualband, cm_matrix,
 from .errors import (CoefficientError, CutoffError, DegeneracyError,
                      DualbandError, EigenvalueEncounteredError,
                      GridMismatchError, MissingDecompositionError, NoAdcError,
-                     NonKernelInputError, NotAnEigenvalueError, OffGridError,
+                     NonKernelInputError, NotAnEigenvalueError,
                      OrthogonalityError, PoleError, ScenarioError,
                      SingularOperatorError, UnimodularityError)
 from .extension import (ExtensionVector, adjoint_kernel_map, build_G,
@@ -54,7 +54,7 @@ __all__ = [
     "verify_factorization", "resolvent_apply", "hankel_norm",
     "Scenario", "parse_scenario", "parse_scenario_text", "build_space",
     "analytic_spectrum", "triangular_w_inverse", "DualbandError",
-    "PoleError", "OffGridError", "GridMismatchError", "CoefficientError",
+    "PoleError", "GridMismatchError", "CoefficientError",
     "UnimodularityError", "OrthogonalityError", "DegeneracyError",
     "MissingDecompositionError", "NotAnEigenvalueError",
     "EigenvalueEncounteredError", "NoAdcError", "CutoffError",

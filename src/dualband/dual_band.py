@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DegeneracyError, MissingDecompositionError,
                      OrthogonalityError, UnimodularityError)
 from .model_space import ModelSpaceBasis, OperatorMatrix, ctheta_matrix, tto_matrix
-from .symbols import InnerFunction, LaurentSymbol, memo
+from .symbols import InnerFunction, LaurentSymbol, as_symbol, memo
 
 TOL_ORTHO = 1e-10
 TOL_UNIMOD = 1e-10
@@ -81,16 +81,10 @@ class DualBandSpace:
         return np.conj(self.aplus.sample(G)), self.aminus.sample(G)
 
     def default_grid(self, symbols=(), extra_span=0):
-        syms = list(symbols)
-        if self.mode == "realized":
-            for b in (self.phi, self.psi):
-                if isinstance(b, LaurentSymbol):
-                    syms.append(b)
-        else:
-            for b in (self.aplus, self.aminus):
-                if isinstance(b, LaurentSymbol):
-                    syms.append(b)
-        return self.basis.default_grid(syms, extra_span=extra_span)
+        bands = (self.phi, self.psi) if self.mode == "realized" \
+            else (self.aplus, self.aminus)
+        return self.basis.default_grid([*symbols, *bands],
+                                       extra_span=extra_span)
 
     def extension_grid(self, g=None, n_ext=0):
         """Grid of the four-by-four extension symbols of g (or of the
@@ -128,12 +122,6 @@ class DualBandSpace:
         return self._shift
 
 
-def _as_symbol(obj):
-    if isinstance(obj, (int, float, complex)):
-        return LaurentSymbol.constant(obj)
-    return obj
-
-
 def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
                    grid=None, tol_ortho=TOL_ORTHO, tol_unimod=TOL_UNIMOD):
     """Validate and assemble a dual-band space.
@@ -151,10 +139,8 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
         raise TypeError("theta must be an InnerFunction")
     basis = ModelSpaceBasis(theta)
     n = basis.n
-    phi = _as_symbol(phi) if phi is not None else None
-    psi = _as_symbol(psi) if psi is not None else None
-    aplus = _as_symbol(aplus) if aplus is not None else None
-    aminus = _as_symbol(aminus) if aminus is not None else None
+    phi, psi, aplus, aminus = (None if s is None else as_symbol(s)
+                               for s in (phi, psi, aplus, aminus))
     report = {}
 
     if phi is None and psi is None:
@@ -170,9 +156,7 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
     if phi is None or psi is None:
         raise ValueError("realized mode needs both phi and psi")
 
-    G = grid or basis.default_grid(
-        [s for s in (phi, psi) if isinstance(s, LaurentSymbol)],
-        extra_span=4)
+    G = grid or basis.default_grid([phi, psi], extra_span=4)
     for name, band in (("phi", phi), ("psi", psi)):
         dev = float(np.max(np.abs(np.abs(band.sample(G)) - 1.0)))
         report[f"unimodular_dev_{name}"] = dev
@@ -254,17 +238,14 @@ def _extract_split_monomial(ratio_bw, n):
 
 def pm_apply(space, f, G=None):
     """Coordinates of the orthogonal projection of f onto the space."""
-    G = G or space.default_grid([f] if isinstance(f, LaurentSymbol) else ())
-    fv = f.sample(G) if hasattr(f, "sample") else np.asarray(f, dtype=complex)
+    G = G or space.default_grid([f])
     B = space.band_values(G)
-    return (B.conj() @ fv) / G
+    return (B.conj() @ f.sample(G)) / G
 
 
 def block_w(space, g, G=None):
     """The two-by-two block matrix over two copies of K_theta."""
-    if G is None:
-        G = space.default_grid([g] if isinstance(g, LaurentSymbol) else (),
-                               extra_span=_span_of(g))
+    G = G or space.default_grid([g], extra_span=g.span() or 0)
     basis = space.basis
     fw, bw = space.ratios
     A = tto_matrix(basis, g, G=G).entries
@@ -272,12 +253,6 @@ def block_w(space, g, G=None):
     B21 = tto_matrix(basis, bw * g, G=G).entries
     W = np.block([[A, B12], [B21, A]])
     return OperatorMatrix(W, f"ktheta2:{basis.n}", f"ktheta2:{basis.n}")
-
-
-def _span_of(g):
-    if isinstance(g, LaurentSymbol) and g.kind == "laurent":
-        return g.span()
-    return 0
 
 
 def dualband_matrix(space, g, G=None):
@@ -292,12 +267,9 @@ def dualband_matrix(space, g, G=None):
         W = block_w(space, g, G=G)
         return OperatorMatrix(W.entries, f"dualband:{space.n}",
                               f"dualband:{space.n}")
-    if G is None:
-        G = space.default_grid([g] if isinstance(g, LaurentSymbol) else (),
-                               extra_span=_span_of(g))
-    gv = g.sample(G) if hasattr(g, "sample") else np.asarray(g, dtype=complex)
+    G = G or space.default_grid([g], extra_span=g.span() or 0)
     B = space.band_values(G)
-    M = ((B * gv) @ B.conj().T).T / G
+    M = ((B * g.sample(G)) @ B.conj().T).T / G
     return OperatorMatrix(M, f"dualband:{space.n}", f"dualband:{space.n}")
 
 

@@ -13,12 +13,8 @@ class PoleError(DualbandError):
     """Evaluation or construction hit a pole (on the grid or the circle)."""
 
 
-class OffGridError(DualbandError):
-    """A sampled symbol was evaluated away from its grid."""
-
-
 class GridMismatchError(DualbandError):
-    """Two sampled objects live on incompatible grids."""
+    """Two matrix symbols are sampled on different grids."""
 
 
 class CoefficientError(DualbandError):

@@ -225,6 +225,21 @@ def u0_window(space, h_coords, Gsym, n_ext):
         zero, zero, _window(h1, n_ext), _window(h2, n_ext)])
 
 
+def _section_solve(space, g, h, n_ext):
+    """Least-squares solve of the finite section of g's extension against
+    the lift of h: the solution windows, with their grid in meta, and
+    the relative residual of the section equation."""
+    Gsym = build_G(space, g=g, G=space.extension_grid(g, n_ext))
+    TN = finite_section_matrix(Gsym, n_ext)
+    H = u0_window(space, h, Gsym, n_ext)
+    sol, *_ = np.linalg.lstsq(TN, H, rcond=None)
+    vec = ExtensionVector(sol.reshape(4, n_ext + 1), n_ext)
+    vec.meta["grid"] = Gsym.grid
+    residual = float(np.linalg.norm(TN @ sol - H)) / \
+        max(float(np.linalg.norm(H)), 1e-300)
+    return vec, residual
+
+
 @dataclass
 class RangeCertificate:
     in_range: bool
@@ -252,12 +267,7 @@ def range_test(space, g, h_coords, n_ext=128, tol=1e-8):
     in_range = residual <= tol
     x = Vh.conj().T[:, :rank] @ ((Ur.conj().T @ h) / s[:rank])
 
-    Gsym = build_G(space, g=g, G=space.extension_grid(g, n_ext))
-    TN = finite_section_matrix(Gsym, n_ext)
-    H = u0_window(space, h, Gsym, n_ext)
-    sol, *_ = np.linalg.lstsq(TN, H, rcond=None)
-    ext_residual = float(np.linalg.norm(TN @ sol - H)) / \
-        max(float(np.linalg.norm(H)), 1e-300)
+    _, ext_residual = _section_solve(space, g, h, n_ext)
     agree = (ext_residual <= 1e-6) == in_range
     return RangeCertificate(in_range, residual, x, rank, ext_residual, agree)
 
@@ -324,7 +334,7 @@ class InverseCertificate:
 
 def _shift_parameters(g):
     """(scale, lam) when g = scale * (z - lam) exactly, else None."""
-    if getattr(g, "kind", None) != "laurent":
+    if g.kind != "laurent":
         return None
     lo, hi = g.support()
     if lo < 0 or hi > 1 or hi < 1:
@@ -361,17 +371,10 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
         coords = coords / scale
         method, cond, notes = "factorization", diag["cond_minus"], ""
     else:
-        Gsym = build_G(space, g=g, G=space.extension_grid(g, n_ext))
-        TN = finite_section_matrix(Gsym, n_ext)
-        H = u0_window(space, h, Gsym, n_ext)
-        sol, *_ = np.linalg.lstsq(TN, H, rcond=None)
-        N = n_ext + 1
-        f1 = grid_ifft(np.concatenate([sol[:N],
-                                       np.zeros(Gsym.grid - N)]))
-        f2 = grid_ifft(np.concatenate([sol[N:2 * N],
-                                       np.zeros(Gsym.grid - N)]))
-        coords = np.concatenate([space.basis.project_values(f1),
-                                 space.basis.project_values(f2)])
+        vec, _ = _section_solve(space, g, h, n_ext)
+        F = vec.values_on(vec.meta["grid"])
+        coords = np.concatenate([space.basis.project_values(F[0]),
+                                 space.basis.project_values(F[1])])
         cond = float(s[0] / s[-1])
         method, notes = "finite-section", "no factorization route for this symbol"
 

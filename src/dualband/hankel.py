@@ -21,6 +21,7 @@ import numpy as np
 
 from .dual_band import block_w, dualband_matrix
 from .errors import CoefficientError, SingularOperatorError
+from .shift_spectra import spectral_key
 
 TOL_ANALYTIC = 1e-10
 
@@ -141,13 +142,10 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
             mult[hit] += 2
 
     W = dualband_matrix(space, g).entries
-    dense = np.linalg.eigvals(W)
+    dense = sorted((complex(e) for e in np.linalg.eigvals(W)),
+                   key=spectral_key)
     gap = max(min(abs(e - v) for v in values) for e in dense)
-    return AnalyticSpectrumReport(
-        values, mult, side,
-        sorted([complex(e) for e in dense],
-               key=lambda v: (abs(v), np.angle(v + 0j))),
-        float(gap))
+    return AnalyticSpectrumReport(values, mult, side, dense, float(gap))
 
 
 def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
@@ -160,8 +158,7 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
     """
     side, _, _ = _triangle_side(space, tol)
     n = space.n
-    G = space.default_grid([g] if hasattr(g, "fourier_coeffs") else ())
-    W = block_w(space, g, G=G).entries
+    W = block_w(space, g, G=space.default_grid([g])).entries
     A, B12, B21 = W[:n, :n], W[:n, n:], W[n:, :n]
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):

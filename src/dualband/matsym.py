@@ -41,27 +41,27 @@ class MatrixSymbol:
         v = np.moveaxis(vec_values, 1, 0)[..., None]    # (G, c, 1)
         return np.moveaxis((a @ v)[..., 0], 0, 1)
 
-    def solve_values(self, vec_values, cond_cap=1e12):
-        """Pointwise solve M(z) x(z) = v(z); returns (x, worst condition)."""
+    def _conditioned(self, what, cond_cap):
+        """The (G, r, c) stack of samples and its worst condition number;
+        raises SingularOperatorError when that exceeds cond_cap."""
         a = np.moveaxis(self.values, 2, 0)
-        v = np.moveaxis(np.asarray(vec_values, dtype=complex), 1, 0)[..., None]
         sv = np.linalg.svd(a, compute_uv=False)
         smin = sv[:, -1].min()
         cond = float(sv[:, 0].max() / max(smin, 1e-300))
         if smin <= 0 or cond > cond_cap:
             raise SingularOperatorError(
-                f"pointwise solve is ill conditioned: cond={cond:.3e}")
+                f"pointwise {what} is ill conditioned: cond={cond:.3e}")
+        return a, cond
+
+    def solve_values(self, vec_values, cond_cap=1e12):
+        """Pointwise solve M(z) x(z) = v(z); returns (x, worst condition)."""
+        a, cond = self._conditioned("solve", cond_cap)
+        v = np.moveaxis(np.asarray(vec_values, dtype=complex), 1, 0)[..., None]
         x = np.linalg.solve(a, v)[..., 0]
         return np.moveaxis(x, 0, 1), cond
 
     def pointwise_inverse(self, cond_cap=1e12):
-        a = np.moveaxis(self.values, 2, 0)
-        sv = np.linalg.svd(a, compute_uv=False)
-        smin = sv[:, -1].min()
-        cond = float(sv[:, 0].max() / max(smin, 1e-300))
-        if smin <= 0 or cond > cond_cap:
-            raise SingularOperatorError(
-                f"pointwise inverse is ill conditioned: cond={cond:.3e}")
+        a, cond = self._conditioned("inverse", cond_cap)
         inv = np.linalg.inv(a)
         return MatrixSymbol(np.moveaxis(inv, 0, 2)), cond
 

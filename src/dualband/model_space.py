@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import InnerFunction, LaurentSymbol, choose_grid, memo
+from .symbols import InnerFunction, choose_grid, memo
 
 
 @dataclass
@@ -95,13 +95,9 @@ def tto_matrix(basis, g, G=None):
 
     Entry (l, k) is <g e_k, e_l>.
     """
-    if not isinstance(basis, ModelSpaceBasis):
-        basis = ModelSpaceBasis(basis)
-    if G is None:
-        G = basis.default_grid([g] if isinstance(g, LaurentSymbol) else ())
-    gv = g.sample(G) if hasattr(g, "sample") else np.asarray(g, dtype=complex)
+    G = G or basis.default_grid([g])
     V = basis.values(G)
-    M = ((V * gv) @ V.conj().T).T / G
+    M = ((V * g.sample(G)) @ V.conj().T).T / G
     return OperatorMatrix(M, f"model:{basis.n}", f"model:{basis.n}")
 
 

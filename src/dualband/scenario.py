@@ -333,6 +333,16 @@ def parse_expression(text, line=1, mode="symbol"):
     return val
 
 
+def _parse_symbol(text, line):
+    """A band or the operator symbol: numbers become constant symbols."""
+    val = parse_expression(text, line, mode="symbol")
+    if isinstance(val, complex):
+        return LaurentSymbol.constant(val)
+    if not isinstance(val, LaurentSymbol):
+        raise ScenarioError(f"line {line}: expected a number or a symbol")
+    return val
+
+
 def _parse_complex(text, line):
     val = parse_expression(text, line, mode="symbol")
     if not isinstance(val, complex):
@@ -437,7 +447,7 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     for key in ("phi", "psi", "aplus", "aminus"):
         text_k, line_k = take("space", key)
         fields[key] = None if text_k is None else \
-            parse_expression(text_k, line_k, mode="symbol")
+            _parse_symbol(text_k, line_k)
     realized = fields["phi"] is not None or fields["psi"] is not None
     if realized and (fields["phi"] is None or fields["psi"] is None):
         raise ScenarioError("realized spaces need both phi and psi")
@@ -445,8 +455,7 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
         raise ScenarioError("a space needs phi/psi or aplus/aminus")
 
     g_text, g_line = take("operator", "g")
-    g = None if g_text is None else parse_expression(g_text, g_line,
-                                                     mode="symbol")
+    g = None if g_text is None else _parse_symbol(g_text, g_line)
 
     tasks_text, tasks_line = take("tasks", "run")
     if tasks_text is None:

@@ -52,6 +52,15 @@ TOL_BOUNDARY = 1e-10
 ADC_BLOWUP = 1e3
 
 
+def spectral_key(lam):
+    """Sort key of a spectrum point: modulus to 12 digits, then angle.
+
+    Rounding the modulus keeps points of equal modulus in angle order
+    when last-bit changes move their moduli.
+    """
+    return round(abs(lam), 12), np.angle(lam + 0j)
+
+
 @dataclass
 class ShiftConstants:
     alpha: complex
@@ -289,8 +298,7 @@ def point_spectrum(space, cross_check=True):
                     space.shift_matrix() @ row - lam * row)) / nr)
         points.append(SpectrumPoint(complex(lam), region, complex(det_val),
                                     coords.shape[0], res, coords))
-    points.sort(key=lambda p: (round(abs(p.lam), 12),
-                               np.angle(p.lam + 0j)))
+    points.sort(key=lambda p: spectral_key(p.lam))
 
     report = SpectrumReport(points, c.as_dict(), regime)
     if cross_check:
@@ -309,9 +317,7 @@ def _matrix_cross_check(space, points):
     spurious = [f for f in formula
                 if min(abs(e - f) for e in eigs) > 1e-6]
     return {
-        "matrix_eigs": sorted(
-            [complex(e) for e in eigs],
-            key=lambda v: (round(abs(v), 12), np.angle(v + 0j))),
+        "matrix_eigs": sorted([complex(e) for e in eigs], key=spectral_key),
         "unmatched_matrix_eigs": missed,
         "unmatched_formula_points": spurious,
         "agrees": not missed and not spurious,
@@ -419,5 +425,5 @@ __all__ = [
     "ShiftConstants", "shift_constants", "delta", "delta_tilde",
     "eigvec_build", "solve_theta_equals", "point_spectrum",
     "SpectrumPoint", "SpectrumReport", "adc_test", "AdcResult",
-    "essential_spectrum", "classify", "ClassifyResult",
+    "essential_spectrum", "classify", "ClassifyResult", "spectral_key",
 ]

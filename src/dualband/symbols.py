@@ -2,11 +2,10 @@
 
 Two families of objects:
 
-* ``LaurentSymbol``, a function on the circle held in one of three forms:
-  a finite Laurent expansion (exact), a rational expression
-  ``z^shift * num(z) / den(z)`` (exact), or samples on a dyadic grid.
-  Products, sums and circle conjugates of the exact kinds stay exact;
-  sampled operands force promotion onto their grid.
+* ``LaurentSymbol``, a function on the circle held exactly in one of two
+  forms: a finite Laurent expansion, or a rational expression
+  ``z^shift * num(z) / den(z)``.  Products, sums and circle conjugates
+  stay exact; numbers combine as constant symbols (``as_symbol``).
 
 * ``InnerFunction``, a finite Blaschke product, an atomic singular inner
   function, or a product of those.  Atomic factors are evaluation-only:
@@ -37,10 +36,11 @@ Two grid rules pick ``G`` when the caller does not:
 
 Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and
-returned read-only.  The exact kinds sample by one inverse FFT of their
+returned read-only.  A symbol samples by one inverse FFT of its
 coefficients, each folded to FFT index k mod G (colliding ones add): on
 the G-th roots of unity z**k = z**(k mod G), so this is exact for every
-G, spans above G/2 included.  ``eval_at`` is for points off the grid.  Grid
+G, spans above G/2 included; a rational divides its folded numerator by
+its folded denominator.  ``eval_at`` is for points off the grid.  Grid
 readers take the grid size, not the points: ``difference_quotient``
 reads ``theta.sample(G)`` for every new lam and serves only the
 factorizations; the spectrum path samples nothing per lam.
@@ -48,9 +48,11 @@ factorizations; the spectrum path samples nothing per lam.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import CoefficientError, GridMismatchError, OffGridError, PoleError
+from .errors import CoefficientError, PoleError
 
 TAU_ROOT = 1e-9      # denominator roots must stay this far from the circle
 TAU_DISC = 1e-12     # Blaschke zeros must stay inside by this margin
@@ -129,18 +131,17 @@ def _check_den(den):
 
 
 class LaurentSymbol:
-    """A scalar function on the unit circle.
+    """A scalar function on the unit circle, held exactly.
 
     kind == "laurent":  value = sum coeffs[i] * z**(offset + i)
     kind == "rational": value = z**shift * num(z) / den(z)
-    kind == "sampled":  values on the dyadic grid of size grid_size
     """
 
-    __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift", "values",
+    __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift",
                  "_samples")
 
     def __init__(self, kind, coeffs=None, offset=0, num=None, den=None,
-                 shift=0, values=None):
+                 shift=0):
         self.kind = kind
         self._samples = {}
         if kind == "laurent":
@@ -151,12 +152,6 @@ class LaurentSymbol:
             self.num = num
             self.shift = int(shift) + lead
             self.den = _check_den(den)
-        elif kind == "sampled":
-            values = np.asarray(values, dtype=complex)
-            G = values.size
-            if G < 8 or G & (G - 1):
-                raise ValueError("sampled grids must be powers of two, >= 8")
-            self.values = values
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
 
@@ -185,10 +180,6 @@ class LaurentSymbol:
     def rational(cls, num, den, shift=0):
         return cls("rational", num=num, den=den, shift=shift)
 
-    @classmethod
-    def sampled(cls, values):
-        return cls("sampled", values=values)
-
     # ----------------------------------------------------------- inspection
     def support(self):
         """(lowest, highest) frequency for the laurent kind."""
@@ -212,29 +203,15 @@ class LaurentSymbol:
                 if c != 0:
                     out = out + c * z ** (self.offset + i)
             return out if out.shape else complex(out)
-        if self.kind == "rational":
-            denv = np.polyval(self.den[::-1], z)
-            if np.any(np.abs(denv) < 1e-13):
-                raise PoleError("evaluation at a pole of the symbol")
-            numv = np.polyval(self.num[::-1], z)
-            out = z ** self.shift * numv / denv
-            return out if out.shape else complex(out)
-        # sampled: only the grid itself is addressable
-        G = self.values.size
-        k = np.angle(z) / (2 * np.pi) * G
-        kr = np.rint(k).astype(int) % G
-        if np.any(np.abs(z - grid_points(G)[kr]) > 1e-12):
-            raise OffGridError("sampled symbol evaluated off its grid")
-        out = self.values[kr]
+        denv = np.polyval(self.den[::-1], z)
+        if np.any(np.abs(denv) < 1e-13):
+            raise PoleError("evaluation at a pole of the symbol")
+        numv = np.polyval(self.num[::-1], z)
+        out = z ** self.shift * numv / denv
         return out if out.shape else complex(out)
 
     def sample(self, G):
-        """Values on the size-G dyadic grid (a copy for the sampled kind)."""
-        if self.kind == "sampled":
-            if self.values.size != G:
-                raise GridMismatchError(
-                    f"sampled on {self.values.size}, asked for {G}")
-            return self.values.copy()
+        """Values on the size-G dyadic grid."""
         return memo(self._samples, G, self._grid_values)
 
     def _grid_values(self, z):
@@ -252,8 +229,8 @@ class LaurentSymbol:
 
         Returns (coeffs, lowest_index, alias_bound).  For the laurent kind
         with G above twice the span the result is exact and alias_bound 0;
-        a too-small G aliases, as plain FFT sampling does.  For the other
-        kinds G=None invokes the refinement policy (start at GRID_START,
+        a too-small G aliases, as plain FFT sampling does.  For the rational
+        kind G=None invokes the refinement policy (start at GRID_START,
         double until the energy in the top and bottom eighth of the index
         range drops below TAU_ALIAS, cap at GRID_CAP).
         """
@@ -273,23 +250,8 @@ class LaurentSymbol:
         return {lo + i: v for i, v in enumerate(c) if abs(v) > tol}
 
     # ------------------------------------------------------------ operators
-    def _promote_pair(self, other):
-        if not isinstance(other, LaurentSymbol):
-            other = LaurentSymbol.constant(other)
-        a, b = self, other
-        if a.kind == "sampled" or b.kind == "sampled":
-            if a.kind == "sampled" and b.kind == "sampled":
-                if a.values.size != b.values.size:
-                    raise GridMismatchError("sampled symbols on different grids")
-                return a, b, a.values.size
-            G = a.values.size if a.kind == "sampled" else b.values.size
-            return a, b, G
-        return a, b, None
-
     def __mul__(self, other):
-        a, b, G = self._promote_pair(other)
-        if G is not None:
-            return LaurentSymbol.sampled(a.sample(G) * b.sample(G))
+        a, b = self, as_symbol(other)
         if a.kind == "laurent" and b.kind == "laurent":
             return LaurentSymbol.from_coeffs(
                 np.convolve(a.coeffs, b.coeffs), a.offset + b.offset)
@@ -301,9 +263,7 @@ class LaurentSymbol:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        a, b, G = self._promote_pair(other)
-        if G is not None:
-            return LaurentSymbol.sampled(a.sample(G) + b.sample(G))
+        a, b = self, as_symbol(other)
         if a.kind == "laurent" and b.kind == "laurent":
             lo = min(a.offset, b.offset)
             hi = max(a.offset + a.coeffs.size, b.offset + b.coeffs.size)
@@ -324,9 +284,7 @@ class LaurentSymbol:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentSymbol):
-            other = LaurentSymbol.constant(other)
-        return self + (other * (-1.0))
+        return self + (as_symbol(other) * (-1.0))
 
     def __rsub__(self, other):
         return (self * (-1.0)) + other
@@ -337,19 +295,15 @@ class LaurentSymbol:
             return LaurentSymbol.from_coeffs(
                 np.conj(self.coeffs[::-1]),
                 -(self.offset + self.coeffs.size - 1))
-        if self.kind == "rational":
-            num = np.conj(self.num[::-1])
-            den = np.conj(self.den[::-1])
-            shift = -(self.shift + self.num.size - 1) + (self.den.size - 1)
-            return LaurentSymbol.rational(num, den, shift)
-        return LaurentSymbol.sampled(np.conj(self.values))
+        num = np.conj(self.num[::-1])
+        den = np.conj(self.den[::-1])
+        shift = -(self.shift + self.num.size - 1) + (self.den.size - 1)
+        return LaurentSymbol.rational(num, den, shift)
 
     def _as_rational(self):
         if self.kind == "rational":
             return self
-        if self.kind == "laurent":
-            return LaurentSymbol.rational(self.coeffs, [1.0], self.offset)
-        raise CoefficientError("sampled symbols have no rational form")
+        return LaurentSymbol.rational(self.coeffs, [1.0], self.offset)
 
     # ----------------------------------------------------------- analysis
     def tail_energy(self, band, G=None):
@@ -361,10 +315,18 @@ class LaurentSymbol:
     def __repr__(self):
         if self.kind == "laurent":
             return f"LaurentSymbol(laurent, support={self.support()})"
-        if self.kind == "rational":
-            return (f"LaurentSymbol(rational, deg_num={self.num.size - 1}, "
-                    f"deg_den={self.den.size - 1}, shift={self.shift})")
-        return f"LaurentSymbol(sampled, G={self.values.size})"
+        return (f"LaurentSymbol(rational, deg_num={self.num.size - 1}, "
+                f"deg_den={self.den.size - 1}, shift={self.shift})")
+
+
+def as_symbol(obj):
+    """obj itself when it is a LaurentSymbol; a number becomes a constant."""
+    if isinstance(obj, LaurentSymbol):
+        return obj
+    if isinstance(obj, numbers.Number):
+        return LaurentSymbol.constant(obj)
+    raise TypeError(f"expected a number or a LaurentSymbol, not "
+                    f"{type(obj).__name__}")
 
 
 def _fold_ifft(coeffs, lo, G):
@@ -419,9 +381,7 @@ def choose_grid(objs, extra_span=0):
     span_total = extra_span
     inexact = []
     for o in objs:
-        if o is None:
-            continue
-        if isinstance(o, LaurentSymbol) and o.kind == "laurent":
+        if o.kind == "laurent":
             span_total += o.span()
         else:
             inexact.append(o)

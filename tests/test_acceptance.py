@@ -8,6 +8,7 @@ it in full.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -356,10 +357,12 @@ def test_criterion_14_cli_determinism():
         for name in names:
             for out in (a, b):
                 assert os.path.exists(os.path.join(out, f"{name}.report.json"))
-            ra = golden_bytes(json.load(open(os.path.join(a, f"{name}.report.json"))))
-            rb = golden_bytes(json.load(open(os.path.join(b, f"{name}.report.json"))))
+            ra = golden_bytes(json.loads(
+                Path(a, f"{name}.report.json").read_text()))
+            rb = golden_bytes(json.loads(
+                Path(b, f"{name}.report.json").read_text()))
             same = same and ra == rb
-            ca = open(os.path.join(a, f"{name}.eigs.csv"), "rb").read()
-            cb = open(os.path.join(b, f"{name}.eigs.csv"), "rb").read()
+            ca = Path(a, f"{name}.eigs.csv").read_bytes()
+            cb = Path(b, f"{name}.eigs.csv").read_bytes()
             same = same and ca == cb
     verdict(14, "cli determinism", same, f"{len(names)} scenarios compared")

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +119,7 @@ class TestNumericsGrid:
             return real(space, lam, G=G)
 
         monkeypatch.setattr(cli, "canonical_factors", recording)
-        text = open(NILPOTENT, encoding="utf-8").read()
+        text = Path(NILPOTENT).read_text(encoding="utf-8")
         text = text.replace("run = all", "run = factorize")
         text = text.replace("[tasks]", "[numerics]\ngrid = 8192\n\n[tasks]")
         scn = tmp_path / "gridded.scn"
@@ -163,7 +164,7 @@ class TestRegold:
     def test_refuses_on_failure(self, tmp_path, capsys):
         scn_dir = tmp_path / "scn"
         scn_dir.mkdir()
-        text = open(NILPOTENT, encoding="utf-8").read()
+        text = Path(NILPOTENT).read_text(encoding="utf-8")
         text = text.replace("[tasks]", "[numerics]\ntol = 1e-16\n\n[tasks]")
         (scn_dir / "doomed.scn").write_text(text, encoding="utf-8")
         out = tmp_path / "out"

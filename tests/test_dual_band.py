@@ -134,13 +134,13 @@ class TestProjection:
         assert np.max(np.abs(pm_apply(sp, Z(2)))) < 1e-12
 
     def test_idempotent(self):
+        # theta = z^2, so e_k = z^k and P f = phi * poly + psi * poly
         sp = twist_space()
         f = LaurentSymbol.from_coeffs({-1: 0.3, 0: 1.0, 2: -0.7j})
         once = pm_apply(sp, f)
-        G = sp.default_grid()
-        vals = sp.phi.sample(G) * sp.basis.synth_values(once[:2], G) + \
-            sp.psi.sample(G) * sp.basis.synth_values(once[2:], G)
-        again = pm_apply(sp, LaurentSymbol.sampled(vals), G=G)
+        pf = sp.phi * LaurentSymbol.from_coeffs(once[:2]) + \
+            sp.psi * LaurentSymbol.from_coeffs(once[2:])
+        again = pm_apply(sp, pf)
         assert again == pytest.approx(once, abs=1e-12)
 
 

@@ -7,6 +7,7 @@ from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
                       SingularOperatorError, analytic_spectrum, block_w,
                       build_dualband, dualband_matrix, essential_spectrum,
                       hankel_norm, triangular_w_inverse)
+from dualband.shift_spectra import spectral_key
 
 Z = LaurentSymbol.monomial
 
@@ -116,6 +117,17 @@ class TestAnalyticSpectrum:
             pair = [e for e in rep.dense_eigs if abs(e - v) < 1e-6]
             assert len(pair) == 2
             assert np.mean(pair) == pytest.approx(v, abs=1e-10)
+
+    @pytest.mark.parametrize("space, g", [
+        (nilpotent_space, Z(1)), (nilpotent_space, Z(3)),
+        (blaschke_space, Z(1)),
+        (blaschke_space, LaurentSymbol.from_coeffs([1.0, 2.0, -1.0], 0)),
+    ], ids=["nilpotent-z", "nilpotent-z3", "band-z", "band-poly"])
+    def test_dense_eigs_in_spectral_order(self, space, g):
+        # every value comes twice; an unrounded modulus lets last-bit
+        # moves swap points of equal modulus
+        eigs = analytic_spectrum(space(), g).dense_eigs
+        assert eigs == sorted(eigs, key=spectral_key)
 
     def test_hypothesis_violation(self):
         psi = Z(2).conj() * LaurentSymbol.rational([-0.5, 0, 0, 0, 1],

@@ -210,6 +210,18 @@ class TestSections:
         with pytest.raises(ScenarioError, match="rfactors"):
             parse_scenario_text(text)
 
+    def test_numbers_become_constant_symbols(self):
+        scn = parse_scenario_text(NILPOTENT.replace("g = mono(3)", "g = 2")
+                                  .replace("phi = mono(0)", "phi = 1"))
+        assert scn.g.support() == (0, 0) and scn.g.coeffs[0] == 2
+        assert scn.phi.support() == (0, 0) and scn.phi.coeffs[0] == 1
+
+    @pytest.mark.parametrize("old, new", [
+        ("g = mono(3)", "g = [1, 2]"), ("psi = mono(3)", "psi = [0, 1]")])
+    def test_band_or_g_must_be_symbol(self, old, new):
+        with pytest.raises(ScenarioError, match="a number or a symbol"):
+            parse_scenario_text(NILPOTENT.replace(old, new))
+
     def test_bad_tol(self):
         text = NILPOTENT.replace("tol = 1e-9", "tol = -1e-9")
         with pytest.raises(ScenarioError, match="tol must be positive"):

@@ -3,16 +3,27 @@
 import numpy as np
 import pytest
 
-from dualband import (CoefficientError, GridMismatchError, InnerFunction,
-                      LaurentSymbol, PoleError)
+from dualband import CoefficientError, InnerFunction, LaurentSymbol, PoleError
 from dualband.dual_band import build_dualband
 from dualband.symbols import (GRID_CAP, TAU_EVAL, analytic_project_values,
-                              choose_grid, difference_quotient, grid_ifft,
-                              grid_points, refine_grid)
+                              choose_grid, difference_quotient, fft_freqs,
+                              grid_fft, grid_ifft, grid_points, refine_grid)
 
 
 def coeffs_of(sym, G=64):
     return sym.coeff_dict(G=G, tol=1e-13)
+
+
+def grid_coeffs(values, tol=1e-13):
+    """{frequency: coefficient} of grid samples, above tol."""
+    freqs = fft_freqs(values.size)
+    return {int(k): c for k, c in zip(freqs, grid_fft(values)) if abs(c) > tol}
+
+
+def negative_energy(values):
+    """Energy of the negative frequencies of grid samples."""
+    c = grid_fft(values)
+    return float(np.sum(np.abs(c[fft_freqs(values.size) < 0]) ** 2))
 
 
 def folded(coeffs, lo, G):
@@ -116,10 +127,9 @@ class TestSplitAndTails:
         s = LaurentSymbol.from_coeffs({-1: 1.0, 0: 3.0, 1: 1.0})
         plus = analytic_project_values(s.sample(16))
         minus = s.sample(16) - plus
-        assert coeffs_of(LaurentSymbol.sampled(plus), G=16) == {
+        assert grid_coeffs(plus) == {
             0: pytest.approx(3.0), 1: pytest.approx(1.0)}
-        assert coeffs_of(LaurentSymbol.sampled(minus), G=16) == {
-            -1: pytest.approx(1.0)}
+        assert grid_coeffs(minus) == {-1: pytest.approx(1.0)}
 
     def test_split_sum_reconstructs(self):
         s = LaurentSymbol.from_coeffs({-3: 2.0j, -1: 1.0, 2: -0.5})
@@ -214,8 +224,7 @@ class TestGrids:
     def test_analytic_projection_kills_negative(self):
         s = LaurentSymbol.from_coeffs({-2: 1.0, 1: 1.0})
         vals = analytic_project_values(s.sample(32))
-        proj = LaurentSymbol.sampled(vals)
-        assert proj.tail_energy(lambda j: j < 0, G=32) < 1e-26
+        assert negative_energy(vals) < 1e-26
 
 
 class TestSampleMemo:
@@ -256,14 +265,6 @@ class TestSampleMemo:
         # spans wider than G: z**k and z**(k + G) agree on the grid
         z = grid_points(16)
         assert np.max(np.abs(obj.sample(16) - obj.eval_at(z))) <= 1e-14
-
-    def test_sampled_kind_still_copies_and_checks(self):
-        s = LaurentSymbol.sampled(grid_points(32))
-        v = s.sample(32)
-        v[0] = 0.0
-        assert s.sample(32)[0] == 1.0
-        with pytest.raises(GridMismatchError):
-            s.sample(64)
 
 
 class TestGridOracle:
@@ -321,5 +322,4 @@ class TestDifferenceQuotient:
     def test_quotient_is_analytic(self):
         th = InnerFunction.blaschke([0.0, 0.5])
         vals = difference_quotient(th, 0.4, 256)
-        s = LaurentSymbol.sampled(vals)
-        assert np.sqrt(s.tail_energy(lambda j: j < 0, G=256)) < 1e-10
+        assert np.sqrt(negative_energy(vals)) < 1e-10
