@@ -27,7 +27,11 @@ conj(e(w)), and R the conjugation C f = theta conj(z f) (``ctheta_matrix``):
 ``point_spectrum`` solves delta = 0 in closed form through the
 substitution w = theta(lam), which turns the problem into one quadratic
 in w followed by polynomial root finding for theta(lam) = w; this covers
-every finite Blaschke product.
+every finite Blaschke product.  It then evaluates all its candidate
+points in one batch (``_kernel_batch``): one theta evaluation, one basis
+evaluation, one product R E for the interior and boundary columns, and
+one stacked SVD of the pair matrices.  ``eigvec_build`` is the one-point
+case of that batch.
 
 Every check against a dense matrix reads one matrix per space, T_z =
 ``space.shift_matrix()``.  The band basis is orthonormal, so the matrix
@@ -84,18 +88,24 @@ def shift_constants(space):
                           complex(kappa), complex(1 - kappa * tbar ** 2))
 
 
+def _det_inside(c, thl):
+    return thl ** 2 - c.kappa * (1 - c.tbar * thl) ** 2
+
+
+def _det_outside(c, tau):
+    return 1 - c.kappa * (c.tbar - tau) ** 2
+
+
 def delta(space, lam):
     """Kernel determinant for lam inside or on the circle."""
-    c = shift_constants(space)
-    thl = complex(space.theta.eval_at(lam))
-    return thl ** 2 - c.kappa * (1 - c.tbar * thl) ** 2
+    return complex(_det_inside(shift_constants(space),
+                               complex(space.theta.eval_at(lam))))
 
 
 def delta_tilde(space, lam):
     """Kernel determinant for lam outside the closed disc."""
-    c = shift_constants(space)
     tau = np.conj(space.theta.eval_at(1.0 / np.conj(complex(lam))))
-    return complex(1 - c.kappa * (c.tbar - tau) ** 2)
+    return complex(_det_outside(shift_constants(space), tau))
 
 
 def _region(lam):
@@ -108,55 +118,91 @@ def _region(lam):
 
 
 def _nullspace_2x2(m, tol=TOL_NULL):
-    """(nullity, basis rows) of a 2x2 complex matrix."""
-    U, s, Vh = np.linalg.svd(m)
-    scale = max(s[0], 1.0)
-    nullity = int(np.sum(s <= tol * scale))
-    if nullity == 0:
-        return 0, np.zeros((0, 2), dtype=complex)
-    return nullity, np.conj(Vh[2 - nullity:, :])
+    """(nullity, basis rows) of a 2x2 complex matrix: an int and a (k, 2)
+    array.  For a (p, 2, 2) stack, one SVD call gives an int array of
+    nullities and a list of p such arrays."""
+    _, s, Vh = np.linalg.svd(m)
+    scale = np.maximum(s[..., 0], 1.0)
+    nullity = np.sum(s <= tol * scale[..., None], axis=-1)
+    if m.ndim == 2:
+        return int(nullity), np.conj(Vh[2 - nullity:, :])
+    return nullity, [np.conj(v[2 - k:, :]) for k, v in zip(nullity, Vh)]
+
+
+def _pair_matrix(a, b, c, d):
+    """[[a, b], [c, d]], or a (p, 2, 2) stack when the entries are arrays."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.moveaxis(np.array([[a, b], [c, d]], dtype=complex),
+                       (0, 1), (-2, -1))
 
 
 def _pair_matrix_inside(c, thl):
-    return np.array([[-thl, c.alpha * (1 - c.tbar * thl)],
-                     [c.beta * (1 - c.tbar * thl), -thl]], dtype=complex)
+    thl = np.asarray(thl)
+    off = 1 - c.tbar * thl
+    return _pair_matrix(-thl, c.alpha * off, c.beta * off, -thl)
 
 
 def _pair_matrix_outside(c, tau):
-    return np.array([[1.0, c.alpha * (c.tbar - tau)],
-                     [c.beta * (c.tbar - tau), 1.0]], dtype=complex)
+    off = c.tbar - np.asarray(tau)
+    return _pair_matrix(1.0, c.alpha * off, c.beta * off, 1.0)
+
+
+def _kernel_batch(space, lams):
+    """Region, kernel determinant and kernel coordinates at every point
+    of lams, in one batch.
+
+    Returns (regions, dets, rows); rows[i] is a (k, 2n) array of band
+    coordinates, one row per kernel dimension, read in closed form
+    (module docstring), with k = 0 where the pair matrix is invertible.
+    Each exterior point reads its basis at mu = 1/conj(lam) and divides
+    by its own lam, so lam = 0 divides nothing.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    regions = [_region(lam) for lam in lams]
+    if not lams.size:
+        return regions, np.zeros(0, dtype=complex), []
+    c = shift_constants(space)
+    basis = space.basis
+    ext = np.array([r == "outside" for r in regions])
+    inn = ~ext
+    pts = lams.copy()
+    pts[ext] = 1.0 / np.conj(lams[ext])
+    thv = np.asarray(space.theta.eval_at(pts), dtype=complex)
+    E = basis.eval_at(pts)
+
+    # the kernel profile's coordinates, one column per point
+    P = np.empty_like(E)
+    if inn.any():
+        P[:, inn] = ctheta_matrix(basis) @ E[:, inn]
+    P[:, ext] = -np.conj(E[:, ext]) / lams[ext]
+    M = np.empty((lams.size, 2, 2), dtype=complex)
+    M[inn] = _pair_matrix_inside(c, thv[inn])
+    M[ext] = _pair_matrix_outside(c, np.conj(thv[ext]))
+    dets = np.empty(lams.size, dtype=complex)
+    dets[inn] = _det_inside(c, thv[inn])
+    dets[ext] = _det_outside(c, np.conj(thv[ext]))
+
+    # a kernel row (c1, c2) of the pair matrix gives coordinates
+    # (c1 p, c2 p), p the point's profile column
+    _, null_rows = _nullspace_2x2(M)
+    rows = [(nr[:, :, None] * P[:, i]).reshape(nr.shape[0], 2 * space.n)
+            for i, nr in enumerate(null_rows)]
+    return regions, dets, rows
 
 
 def eigvec_build(space, lam):
     """Kernel coordinates of the compression of (z - lam).
 
     Returns a (k, 2n) array of band coordinates, one row per kernel
-    dimension, read in closed form (module docstring).  Raises
+    dimension: the one-point case of ``_kernel_batch``.  Raises
     NotAnEigenvalueError when the two-by-two pair matrix is invertible.
     """
-    c = shift_constants(space)
-    region = _region(lam)
-    lam = complex(lam)
-    basis = space.basis
-    if region == "outside":
-        mu = 1.0 / np.conj(lam)
-        tau = np.conj(space.theta.eval_at(mu))
-        m = _pair_matrix_outside(c, tau)
-        p = -np.conj(basis.eval_at(np.array([mu]))[:, 0]) / lam
-    else:
-        thl = complex(space.theta.eval_at(lam))
-        m = _pair_matrix_inside(c, thl)
-        p = ctheta_matrix(basis) @ basis.eval_at(np.array([lam]))[:, 0]
-    nullity, rows = _nullspace_2x2(m)
-    if nullity == 0:
+    _, _, (rows,) = _kernel_batch(space, [lam])
+    if not rows.shape[0]:
         raise NotAnEigenvalueError(
-            f"pair matrix at {lam} has no kernel (smin relative to "
-            f"scale exceeds {TOL_NULL})")
-    out = np.zeros((nullity, 2 * space.n), dtype=complex)
-    for i, (c1, c2) in enumerate(rows):
-        out[i, :space.n] = c1 * p
-        out[i, space.n:] = c2 * p
-    return out
+            f"pair matrix at {complex(lam)} has no kernel (smin relative "
+            f"to scale exceeds {TOL_NULL})")
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -175,23 +221,20 @@ def _front_const(theta):
 
 
 def _theta_poly_parts(theta):
-    """(const, numerator coeffs, denominator coeffs), descending powers."""
-    zeros = theta.zeros_list()
-    num = np.array([1.0 + 0j])
-    den = np.array([1.0 + 0j])
-    for a in zeros:
-        num = np.polymul(num, np.array([1.0, -a], dtype=complex))
-        den = np.polymul(den, np.array([-np.conj(a), 1.0], dtype=complex))
+    """(const, N, D) with theta = const * N / D, N = prod (z - a_k) and
+    D = prod (1 - conj(a_k) z): coefficients in descending powers, both
+    of length n + 1, so they line up on the constant term."""
+    num = np.ones(1, dtype=complex)
+    den = np.ones(1, dtype=complex)
+    for a in theta.zeros_list():
+        num = np.convolve(num, np.array([1.0, -a], dtype=complex))
+        den = np.convolve(den, np.array([-np.conj(a), 1.0], dtype=complex))
     return _front_const(theta), num, den
 
 
 def solve_theta_equals(theta, w, tol=TAU_ROOT):
     """All solutions of theta(lam) = w in the plane (finite Blaschke)."""
     const, num, den = _theta_poly_parts(theta)
-    # align descending-power arrays on the constant term before combining
-    m = max(len(num), len(den))
-    num = np.concatenate([np.zeros(m - len(num), dtype=complex), num])
-    den = np.concatenate([np.zeros(m - len(den), dtype=complex), den])
     p = const * num - complex(w) * den
     top = float(np.max(np.abs(p))) if p.size else 0.0
     if top == 0.0:
@@ -226,11 +269,13 @@ def _exterior_targets(c):
 
 
 def _dedup(values, tol=1e-8):
-    out = []
-    for v in values:
-        if all(abs(v - u) > tol for u in out):
-            out.append(v)
-    return out
+    """values without any that lie within tol of an earlier kept one."""
+    values = np.asarray(values, dtype=complex)
+    near = np.abs(values[:, None] - values[None, :]) <= tol
+    keep = np.zeros(values.size, dtype=bool)
+    for i in range(values.size):
+        keep[i] = not near[i, keep].any()
+    return values[keep]
 
 
 @dataclass
@@ -281,23 +326,12 @@ def point_spectrum(space, cross_check=True):
             if 1e-12 < abs(mu) < 1 - TOL_BOUNDARY:
                 candidates.append(1.0 / np.conj(mu))
 
-    points = []
-    for lam in _dedup(candidates):
-        region = _region(lam)
-        det_val = delta_tilde(space, lam) if region == "outside" \
-            else delta(space, lam)
-        try:
-            coords = eigvec_build(space, lam)
-        except NotAnEigenvalueError:
-            continue
-        res = 0.0
-        for row in coords:
-            nr = float(np.linalg.norm(row))
-            if nr > 0:
-                res = max(res, float(np.linalg.norm(
-                    space.shift_matrix() @ row - lam * row)) / nr)
-        points.append(SpectrumPoint(complex(lam), region, complex(det_val),
-                                    coords.shape[0], res, coords))
+    lams = _dedup(candidates)
+    regions, dets, rows = _kernel_batch(space, lams)
+    points = [SpectrumPoint(complex(lam), region, complex(det), r.shape[0],
+                            _residual(space.shift_matrix(), r, lam), r)
+              for lam, region, det, r in zip(lams, regions, dets, rows)
+              if r.shape[0]]
     points.sort(key=lambda p: spectral_key(p.lam))
 
     report = SpectrumReport(points, c.as_dict(), regime)
@@ -306,21 +340,30 @@ def point_spectrum(space, cross_check=True):
     return report
 
 
+def _residual(T, rows, lam):
+    """max over the rows v of || T v - lam v || / || v ||; zero rows
+    count 0."""
+    res = 0.0
+    for row in rows:
+        nr = float(np.linalg.norm(row))
+        if nr > 0:
+            res = max(res, float(np.linalg.norm(T @ row - lam * row)) / nr)
+    return res
+
+
 def _matrix_cross_check(space, points):
     """Compare the closed form with dense eigenvalues of the shift."""
     eigs = np.linalg.eigvals(space.shift_matrix())
-    formula = [p.lam for p in points]
-    missed = [complex(e) for e in eigs
-              if formula and min(abs(e - f) for f in formula) > 1e-6]
-    if not formula:
-        missed = [complex(e) for e in eigs]
-    spurious = [f for f in formula
-                if min(abs(e - f) for e in eigs) > 1e-6]
+    formula = np.array([p.lam for p in points], dtype=complex)
+    # one distance matrix: dense eigenvalues down, formula points across
+    dist = np.abs(eigs[:, None] - formula[None, :])
+    missed = eigs[dist.min(axis=1, initial=np.inf) > 1e-6]
+    spurious = formula[dist.min(axis=0, initial=np.inf) > 1e-6]
     return {
         "matrix_eigs": sorted([complex(e) for e in eigs], key=spectral_key),
-        "unmatched_matrix_eigs": missed,
-        "unmatched_formula_points": spurious,
-        "agrees": not missed and not spurious,
+        "unmatched_matrix_eigs": [complex(e) for e in missed],
+        "unmatched_formula_points": [complex(f) for f in spurious],
+        "agrees": not missed.size and not spurious.size,
     }
 
 

@@ -119,11 +119,11 @@ def _trim(arr):
     return arr[nz[0]:nz[-1] + 1], int(nz[0])
 
 
-def _check_den(den):
+def _check_den(den, root_check=True):
     den, lead = _trim(den)
     if lead:
         raise PoleError("denominator vanishes at z = 0")
-    if den.size > 1:
+    if root_check and den.size > 1:
         roots = np.roots(den[::-1])
         if np.any(np.abs(np.abs(roots) - 1.0) <= TAU_ROOT):
             raise PoleError("denominator has a root on the unit circle")
@@ -135,13 +135,23 @@ class LaurentSymbol:
 
     kind == "laurent":  value = sum coeffs[i] * z**(offset + i)
     kind == "rational": value = z**shift * num(z) / den(z)
+
+    A rational built from given coefficients (``rational``, or the
+    constructor) root-checks its denominator: ``np.roots`` must find no
+    root within TAU_ROOT of the circle, else PoleError.  Products, sums
+    and circle conjugates (``__mul__``, ``__add__``, ``conj``) skip that
+    check (``_derived``): their denominator is a product of checked
+    denominators, or a checked one reflected, whose roots are the roots
+    of the factors, or the factor roots reflected in the circle.  A
+    root-check of a degree-128 denominator costs one eigenvalue solve of
+    a 128 x 128 companion matrix, which every product would repeat.
     """
 
     __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift",
                  "_samples")
 
     def __init__(self, kind, coeffs=None, offset=0, num=None, den=None,
-                 shift=0):
+                 shift=0, _root_check=True):
         self.kind = kind
         self._samples = {}
         if kind == "laurent":
@@ -151,7 +161,7 @@ class LaurentSymbol:
             num, lead = _trim(num)
             self.num = num
             self.shift = int(shift) + lead
-            self.den = _check_den(den)
+            self.den = _check_den(den, _root_check)
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
 
@@ -179,6 +189,13 @@ class LaurentSymbol:
     @classmethod
     def rational(cls, num, den, shift=0):
         return cls("rational", num=num, den=den, shift=shift)
+
+    @classmethod
+    def _derived(cls, num, den, shift):
+        """A rational whose denominator was root-checked in its factors:
+        trimmed and checked at z = 0 like any other, but no np.roots."""
+        return cls("rational", num=num, den=den, shift=shift,
+                   _root_check=False)
 
     # ----------------------------------------------------------- inspection
     def support(self):
@@ -256,7 +273,7 @@ class LaurentSymbol:
             return LaurentSymbol.from_coeffs(
                 np.convolve(a.coeffs, b.coeffs), a.offset + b.offset)
         ar, br = a._as_rational(), b._as_rational()
-        return LaurentSymbol.rational(
+        return LaurentSymbol._derived(
             np.convolve(ar.num, br.num), np.convolve(ar.den, br.den),
             ar.shift + br.shift)
 
@@ -279,7 +296,7 @@ class LaurentSymbol:
         num = np.zeros(width, dtype=complex)
         num[ar.shift - m:ar.shift - m + left.size] += left
         num[br.shift - m:br.shift - m + right.size] += right
-        return LaurentSymbol.rational(num, np.convolve(ar.den, br.den), m)
+        return LaurentSymbol._derived(num, np.convolve(ar.den, br.den), m)
 
     __radd__ = __add__
 
@@ -298,12 +315,12 @@ class LaurentSymbol:
         num = np.conj(self.num[::-1])
         den = np.conj(self.den[::-1])
         shift = -(self.shift + self.num.size - 1) + (self.den.size - 1)
-        return LaurentSymbol.rational(num, den, shift)
+        return LaurentSymbol._derived(num, den, shift)
 
     def _as_rational(self):
         if self.kind == "rational":
             return self
-        return LaurentSymbol.rational(self.coeffs, [1.0], self.offset)
+        return LaurentSymbol._derived(self.coeffs, [1.0], self.offset)
 
     # ----------------------------------------------------------- analysis
     def tail_energy(self, band, G=None):

@@ -1,6 +1,8 @@
 """Point spectrum of the dual-band shift: determinants, eigenvectors,
 boundary diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,64 @@ class TestClosedFormKernel:
             eigvec_build(sp, lam)
         assert len(lams) > 1
         assert calls == []
+
+
+def circle_space():
+    """Free mode over theta = b_{0.5}: eigenvalues on the circle and
+    outside it."""
+    return build_dualband(InnerFunction.blaschke([0.5]),
+                          aplus=LaurentSymbol.constant(2.0),
+                          aminus=LaurentSymbol.constant(2.0))
+
+
+def split_space():
+    """Free mode over theta = b_{0.5}: one eigenvalue inside, one outside."""
+    return build_dualband(InnerFunction.blaschke([0.5]),
+                          aplus=LaurentSymbol.constant(0.8),
+                          aminus=LaurentSymbol.constant(0.8))
+
+
+class TestKernelBatch:
+    """One batch over many points gives what one point at a time gives."""
+
+    @pytest.mark.parametrize("make, regions", [
+        (circle_space, {"boundary", "outside"}),
+        (split_space, {"inside", "outside"}),
+        (nilpotent_space, {"inside"}),
+        (twist_space, {"inside"}),
+        (free_outside_space, {"outside"})])
+    def test_matches_one_point_calls(self, make, regions):
+        sp = make()
+        eig = [p.lam for p in point_spectrum(sp, cross_check=False).points]
+        assert {ss._region(lam) for lam in eig} == regions
+        # eigenvalues of every region, lam = 0, and resolvent points
+        # inside, on and outside the circle
+        lams = [0.0, *eig, 0.93 + 0.11j, -1j, 3.0 - 1.0j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_regions, dets, rows = ss._kernel_batch(sp, lams)
+        assert got_regions == [ss._region(lam) for lam in lams]
+        for lam, region, det, r in zip(lams, got_regions, dets, rows):
+            one = delta_tilde(sp, lam) if region == "outside" \
+                else delta(sp, lam)
+            assert abs(det - one) <= 1e-15 * max(1.0, abs(one))
+            if lam in eig or (lam == 0.0 and make is nilpotent_space):
+                want = eigvec_build(sp, lam)
+                assert r.shape == want.shape and r.shape[0] >= 1
+                assert np.linalg.norm(r - want) <= \
+                    1e-15 * np.linalg.norm(want)
+            else:
+                assert r.shape == (0, 2 * sp.n)
+                with pytest.raises(NotAnEigenvalueError):
+                    eigvec_build(sp, lam)
+
+    def test_nilpotent_zero_has_two_rows(self):
+        _, _, rows = ss._kernel_batch(nilpotent_space(), [0.0, 0.5])
+        assert [r.shape[0] for r in rows] == [2, 0]
+
+    def test_empty_batch(self):
+        regions, dets, rows = ss._kernel_batch(twist_space(), [])
+        assert regions == [] and dets.size == 0 and rows == []
 
 
 class TestPointSpectrum:

@@ -122,6 +122,62 @@ class TestArithmetic:
         assert np.max(np.abs(prod - 1.0)) < 1e-12
 
 
+class TestDenominatorCheck:
+    """Raw rationals root-check their denominator; products, sums and
+    conjugates of checked rationals do not repeat it."""
+
+    @staticmethod
+    def operands():
+        a = LaurentSymbol.rational([-0.5, 0, 0, 0, 1], [1, 0, 0, 0, -0.5])
+        b = InnerFunction.blaschke([0.3, -0.5j, 0.2 + 0.4j]).as_symbol()
+        c = LaurentSymbol.rational([1.0, 0.3j], [1.0, 0.2 - 0.1j, 0.4], 2)
+        return a, b, c, LaurentSymbol.from_coeffs({-2: 0.5, 1: 1.0 - 1.0j})
+
+    @staticmethod
+    def derived(a, b, c, d):
+        return [a * b, b * c, c * d, a + b, b + c, c - d, 2.0 + c,
+                a.conj(), b.conj(), c.conj(), (a * c).conj()]
+
+    @pytest.mark.parametrize("den", ([1.0, -1.0], [1.0, 0.0, 1.0],
+                                     [2.0, 0.0, 0.0, -2.0j]))
+    def test_raw_root_on_circle_raises(self, den):
+        with pytest.raises(PoleError):
+            LaurentSymbol.rational([1.0, 0.5], den)
+        with pytest.raises(PoleError):
+            LaurentSymbol("rational", num=[1.0, 0.5], den=den)
+
+    def test_derived_make_no_roots_call(self, monkeypatch):
+        ops = self.operands()
+        calls = []
+        roots = np.roots
+
+        def counting(p):
+            calls.append(len(p))
+            return roots(p)
+
+        monkeypatch.setattr(np, "roots", counting)
+        out = self.derived(*ops)
+        assert calls == []
+        assert all(s.kind == "rational" for s in out)
+        LaurentSymbol.rational([1.0], [1.0, 0.0, -0.25])
+        assert calls == [3]
+
+    def test_derived_match_the_checked_build(self):
+        # what each operator built before its check was dropped: the
+        # same coefficients through the root-checked constructor
+        a, b, c, d = self.operands()
+        prod = a * b
+        assert np.array_equal(prod.num, np.convolve(a.num, b.num))
+        assert np.array_equal(prod.den, np.convolve(a.den, b.den))
+        for s in self.derived(a, b, c, d):
+            ref = LaurentSymbol.rational(s.num, s.den, s.shift)
+            assert ref.num.tobytes() == s.num.tobytes()
+            assert ref.den.tobytes() == s.den.tobytes()
+            assert ref.shift == s.shift
+            for G in (64, 4096):
+                assert s.sample(G).tobytes() == ref.sample(G).tobytes()
+
+
 class TestSplitAndTails:
     def test_analytic_split_parts(self):
         s = LaurentSymbol.from_coeffs({-1: 1.0, 0: 3.0, 1: 1.0})
