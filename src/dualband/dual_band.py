@@ -24,6 +24,12 @@ with aplus analytic and aminus co-analytic.  Free spaces support every
 band-ratio construction (spectra, factorizations, resolvents) without
 naming phi and psi; operator matrices are then formed in the two-copy
 coordinates, which the block identity above makes unitarily faithful.
+
+A space keeps the dense matrices it is asked for: T_z, and the
+``dualband_matrix`` and ``block_w`` results of its latest symbol g, keyed
+by (kind, g, G as passed).  A call with a new g drops the previous g's
+matrices (building T_z does not), so the store stays bounded; it is
+freed with the space.  Kept entries are read-only.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ TOL_SPLIT = 1e-10
 # Grid floor of every four-by-four extension symbol: the lam-dependent
 # factor profiles are not among the symbols the quadrature rule sees.
 EXTENSION_GRID_FLOOR = 4096
+# key of T_z in a space's store of dense matrices
+_SHIFT = "shift"
 
 
 class DualBandSpace:
@@ -62,7 +70,7 @@ class DualBandSpace:
         self.n = basis.n
         self._band_samples = {}
         self._split_constants = None
-        self._shift = None
+        self._dense = {}    # _SHIFT or (kind, g, G) -> OperatorMatrix
 
     # ------------------------------------------------------------ sampling
     def band_values(self, G):
@@ -112,14 +120,33 @@ class DualBandSpace:
     def shift_matrix(self):
         """Read-only matrix of T_z, the compression of z, built once.
 
-        The band basis is orthonormal, so the compression of z - lam is
-        exactly shift_matrix() - lam * I at every lam.
+        T_z stays in the space's store of dense matrices next to the
+        compressions of the latest g, and is freed with the space.  Its
+        build leaves the latest g's matrices in place.  The band basis is
+        orthonormal, so the compression of z - lam is exactly
+        shift_matrix() - lam * I at every lam.
         """
-        if self._shift is None:
-            T = dualband_matrix(self, LaurentSymbol.monomial(1)).entries
-            T.flags.writeable = False
-            self._shift = T
-        return self._shift
+        T = self._dense.get(_SHIFT)
+        if T is None:
+            latest = dict(self._dense)
+            T = dualband_matrix(self, LaurentSymbol.monomial(1))
+            self._dense = {**latest, _SHIFT: T}
+        return T.entries
+
+    def _kept(self, kind, g, G, build):
+        """The kept matrix of (kind, g, G); build() on first call.  Its
+        entries are made read-only, and the matrices of any other g are
+        dropped (T_z stays)."""
+        key = (kind, g, G)
+        got = self._dense.get(key)
+        if got is None:
+            got = build()
+            got.entries.flags.writeable = False
+            for k in [k for k in self._dense
+                      if k != _SHIFT and k[1] is not g]:
+                del self._dense[k]
+            self._dense[key] = got
+        return got
 
 
 def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
@@ -244,7 +271,12 @@ def pm_apply(space, f, G=None):
 
 
 def block_w(space, g, G=None):
-    """The two-by-two block matrix over two copies of K_theta."""
+    """The two-by-two block matrix over two copies of K_theta, kept on
+    the space with read-only entries."""
+    return space._kept("block_w", g, G, lambda: _block_assembly(space, g, G))
+
+
+def _block_assembly(space, g, G):
     G = G or space.default_grid([g], extra_span=g.span() or 0)
     basis = space.basis
     fw, bw = space.ratios
@@ -256,17 +288,23 @@ def block_w(space, g, G=None):
 
 
 def dualband_matrix(space, g, G=None):
-    """Matrix of the compression of multiplication by g.
+    """Matrix of the compression of multiplication by g, kept on the
+    space with read-only entries.
 
     Realized spaces integrate directly against the stacked band basis.
-    Free spaces fall back to the block form, whose entries only require
+    Free spaces wrap the kept block form, whose entries only require
     theta and the split; the two coordinate systems are unitarily
     identified column for column.
     """
     if space.mode != "realized":
-        W = block_w(space, g, G=G)
-        return OperatorMatrix(W.entries, f"dualband:{space.n}",
-                              f"dualband:{space.n}")
+        return space._kept("dualband", g, G, lambda: OperatorMatrix(
+            block_w(space, g, G=G).entries, f"dualband:{space.n}",
+            f"dualband:{space.n}"))
+    return space._kept("dualband", g, G,
+                       lambda: _band_quadrature(space, g, G))
+
+
+def _band_quadrature(space, g, G):
     G = G or space.default_grid([g], extra_span=g.span() or 0)
     B = space.band_values(G)
     M = ((B * g.sample(G)) @ B.conj().T).T / G

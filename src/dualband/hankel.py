@@ -72,13 +72,13 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
         raise CoefficientError(
             f"anti-analytic coefficients reach index {-depth}; "
             "the Hankel block would be impractically large")
+    # H[i, j] = c[i + j], with c zero from index depth on
+    ij = np.add.outer(np.arange(depth), np.arange(depth))
     blocks = {}
     for key, cd in dicts.items():
-        H = np.zeros((depth, depth), dtype=complex)
-        for i in range(depth):
-            for j in range(depth - i):
-                H[i, j] = cd.get(-(i + j + 1), 0.0)
-        blocks[key] = H
+        c = np.zeros(2 * depth - 1, dtype=complex)
+        c[:depth] = [cd.get(-(k + 1), 0.0) for k in range(depth)]
+        blocks[key] = c[ij]
     full = np.block([[blocks[(0, 0)], blocks[(0, 1)]],
                      [blocks[(1, 0)], blocks[(1, 1)]]])
     sigma = float(np.linalg.svd(full, compute_uv=False)[0])

@@ -264,7 +264,8 @@ class LaurentSymbol:
 
     def coeff_dict(self, G=None, tol=0.0):
         c, lo, _ = self.fourier_coeffs(G)
-        return {lo + i: v for i, v in enumerate(c) if abs(v) > tol}
+        keep = np.flatnonzero(np.abs(c) > tol)
+        return dict(zip((lo + keep).tolist(), c[keep]))
 
     # ------------------------------------------------------------ operators
     def __mul__(self, other):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import dualband.dual_band
 from dualband import (DegeneracyError, InnerFunction, LaurentSymbol,
                       MissingDecompositionError, OrthogonalityError,
                       UnimodularityError, block_w, build_dualband, build_G,
                       cm_matrix, cm_symmetry_residual,
-                      dualband_matrix, hankel_norm, is_zero_operator,
-                      pm_apply, unitary_equiv_check)
+                      dualband_matrix, hankel_norm, inverse_via_extension,
+                      is_zero_operator, pm_apply, range_test,
+                      unitary_equiv_check)
 
 Z = LaurentSymbol.monomial
 
@@ -121,6 +123,104 @@ class TestKeptPerSpace:
             G = sp.default_grid()
             assert np.max(np.abs(np.conj(fw.sample(G)) - bw.sample(G))) \
                 < 1e-14
+
+
+def analytic_free_space():
+    # theta = z^2 with constant halves: with g = z^3 every symbol entry is
+    # analytic, so the Hankel norm applies in free mode too
+    return build_dualband(InnerFunction.monomial(2),
+                          aplus=LaurentSymbol.constant(0.5),
+                          aminus=LaurentSymbol.constant(0.8))
+
+
+def count_builds(monkeypatch):
+    """Count the model-space and band quadratures from here on."""
+    seen = {"tto_matrix": 0, "band_quadrature": 0}
+    tto = dualband.dual_band.tto_matrix
+    band = dualband.dual_band._band_quadrature
+
+    def counting_tto(*args, **kwargs):
+        seen["tto_matrix"] += 1
+        return tto(*args, **kwargs)
+
+    def counting_band(*args, **kwargs):
+        seen["band_quadrature"] += 1
+        return band(*args, **kwargs)
+
+    monkeypatch.setattr(dualband.dual_band, "tto_matrix", counting_tto)
+    monkeypatch.setattr(dualband.dual_band, "_band_quadrature",
+                        counting_band)
+    return seen
+
+
+class TestKeptDense:
+    """A space keeps T_z and the dense compressions of its latest g."""
+
+    @pytest.mark.parametrize("make, want", [
+        (nilpotent_space, {"tto_matrix": 3, "band_quadrature": 1}),
+        (analytic_free_space, {"tto_matrix": 3, "band_quadrature": 0}),
+    ], ids=["realized", "free"])
+    def test_one_assembly_per_space_and_g(self, monkeypatch, make, want):
+        sp = make()
+        g = Z(3)
+        seen = count_builds(monkeypatch)
+        if sp.mode == "realized":
+            unitary_equiv_check(sp, g)
+        cm_symmetry_residual(sp, g)
+        is_zero_operator(sp, g)
+        dualband_matrix(sp, g)
+        block_w(sp, g)
+        hankel_norm(sp, g)
+        assert seen == want
+
+    def test_range_then_inverse_build_once(self, monkeypatch):
+        sp = twist_space()
+        g = LaurentSymbol.from_coeffs({-1: 0.3, 0: 2.0, 1: 0.5j})
+        h = np.array([1.0, -0.5j, 0.25, 2.0], dtype=complex)
+        seen = count_builds(monkeypatch)
+        cert = range_test(sp, g, h, n_ext=32)
+        _, inv = inverse_via_extension(sp, g, h, n_ext=32)
+        assert seen["band_quadrature"] == 1
+        assert cert.in_range and inv.method == "finite-section"
+
+    @pytest.mark.parametrize("make", [nilpotent_space, analytic_free_space],
+                             ids=["realized", "free"])
+    def test_kept_read_only_and_equal_to_fresh(self, make):
+        sp = make()
+        g = Z(3)
+        unitary_equiv_check(sp, g)
+        cm_symmetry_residual(sp, g)
+        for build in (dualband_matrix, block_w):
+            M = build(sp, g)
+            assert build(sp, g) is M
+            assert not M.entries.flags.writeable
+            with pytest.raises(ValueError):
+                M.entries[0, 0] = 1.0
+            assert M.entries.tobytes() == build(make(), g).entries.tobytes()
+
+    def test_new_g_replaces_old(self, monkeypatch):
+        sp = twist_space()
+        T = sp.shift_matrix()
+        g1, g2 = Z(3), LaurentSymbol.from_coeffs({-1: 0.5, 2: 1.0})
+        first = dualband_matrix(sp, g1)
+        seen = count_builds(monkeypatch)
+        dualband_matrix(sp, g2)
+        again = dualband_matrix(sp, g1)
+        assert seen["band_quadrature"] == 2
+        assert again is not first
+        assert again.entries.tobytes() == first.entries.tobytes()
+        assert sp.shift_matrix() is T
+        assert seen["band_quadrature"] == 2
+
+    def test_shift_build_keeps_latest_g(self, monkeypatch):
+        sp = nilpotent_space()
+        g = Z(3)
+        unitary_equiv_check(sp, g)
+        seen = count_builds(monkeypatch)
+        sp.shift_matrix()
+        dualband_matrix(sp, g)
+        block_w(sp, g)
+        assert seen == {"tto_matrix": 0, "band_quadrature": 1}
 
 
 class TestProjection:

@@ -99,6 +99,24 @@ class TestCoefficients:
         grid_mean = float(np.mean(np.abs(vals) ** 2))
         assert grid_mean == pytest.approx(11.0, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentSymbol.from_coeffs({-2: 1.5, 0: -0.25j, 3: 2 + 1j}),
+        lambda: LaurentSymbol.monomial(2).conj() * LaurentSymbol.rational(
+            [-0.5, 0, 0, 0, 1], [1, 0, 0, 0, -0.5]),
+        lambda: InnerFunction.blaschke([0.3, -0.5j, 0.2 + 0.4j]).as_symbol(),
+    ], ids=["laurent", "twist_ratio", "theta"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-15])
+    def test_coeff_dict_matches_comprehension(self, make, tol):
+        s = make()
+        c, lo, _ = s.fourier_coeffs()
+        want = {lo + i: v for i, v in enumerate(c) if abs(v) > tol}
+        got = s.coeff_dict(tol=tol)
+        assert list(got) == list(want)
+        assert [type(k) for k in got] == [type(k) for k in want]
+        assert list(got.values()) == list(want.values())
+        assert [type(v) for v in got.values()] == \
+            [type(v) for v in want.values()]
+
 
 class TestArithmetic:
     def test_monomial_product(self):
