@@ -13,7 +13,8 @@ for norms and spectra of analytic symbols.
 
 from .dual_band import (DualBandSpace, block_w, build_dualband, cm_matrix,
                         cm_symmetry_residual, dualband_matrix,
-                        is_zero_operator, pm_apply, unitary_equiv_check)
+                        is_zero_operator, pm_apply, shift_quadrature_residual,
+                        unitary_equiv_check)
 from .errors import (CoefficientError, CutoffError, DegeneracyError,
                      DualbandError, EigenvalueEncounteredError,
                      GridMismatchError, MissingDecompositionError, NoAdcError,
@@ -43,7 +44,8 @@ __all__ = [
     "ctheta_matrix", "DualBandSpace",
     "build_dualband", "dualband_matrix", "block_w", "pm_apply",
     "unitary_equiv_check", "is_zero_operator", "cm_matrix",
-    "cm_symmetry_residual", "MatrixSymbol", "build_G", "ExtensionVector",
+    "cm_symmetry_residual", "shift_quadrature_residual", "MatrixSymbol",
+    "build_G", "ExtensionVector",
     "kernel_lift", "kernel_project", "rh_residual", "range_test",
     "adjoint_kernel_map", "inverse_via_extension", "shift_constants",
     "delta", "delta_tilde", "eigvec_build", "point_spectrum", "adc_test",

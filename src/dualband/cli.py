@@ -21,7 +21,8 @@ from .errors import DualbandError
 from .scenario import (TASK_NAMES, build_space, check_prerequisites,
                        parse_scenario)
 from .dual_band import (cm_symmetry_residual, dualband_matrix,
-                        is_zero_operator, unitary_equiv_check)
+                        is_zero_operator, shift_quadrature_residual,
+                        unitary_equiv_check)
 from .shift_spectra import point_spectrum
 from .extension import kernel_lift, kernel_project
 from .factorization import (canonical_factors, hminus_split,
@@ -82,6 +83,7 @@ def _task_validate(space, scn, opts):
     tnorm = float(np.linalg.norm(dualband_matrix(space, scn.g, G=G).entries,
                                  2))
     zero_by_norm = tnorm <= 2 * space.n * 1e-10
+    shift = shift_quadrature_residual(space)
     violations = []
     if assembly > lim:
         violations.append(f"block assembly residual {assembly:.3e} exceeds "
@@ -89,12 +91,16 @@ def _task_validate(space, scn, opts):
     if cm > lim:
         violations.append(f"conjugation symmetry residual {cm:.3e} exceeds "
                           f"{lim:.3e}")
+    if shift is not None and shift > lim:
+        violations.append(f"shift quadrature residual {shift:.3e} exceeds "
+                          f"{lim:.3e}")
     if zero != zero_by_norm:
         violations.append("block zero test disagrees with the operator norm")
     return {
         "ok": not violations, "violations": violations,
         "block_assembly_residual": assembly,
         "cm_symmetry_residual": cm,
+        "shift_quadrature_residual": shift,
         "operator_norm": tnorm,
         "is_zero_operator": zero,
         "block_norms": block_norms,

@@ -25,6 +25,11 @@ band-ratio construction (spectra, factorizations, resolvents) without
 naming phi and psi; operator matrices are then formed in the two-copy
 coordinates, which the block identity above makes unitarily faithful.
 
+The compression of z, T_z, is built in closed form from theta's zeros,
+its front constant and the split (``_shift_closed_form``): it samples
+nothing.  ``shift_quadrature_residual`` measures it against the
+quadrature compression of z, built outside the space's store.
+
 A space keeps the dense matrices it is asked for: T_z, and the
 ``dualband_matrix`` and ``block_w`` results of its latest symbol g, keyed
 by (kind, g, G as passed).  A call with a new g drops the previous g's
@@ -39,6 +44,7 @@ import numpy as np
 from .errors import (DegeneracyError, MissingDecompositionError,
                      OrthogonalityError, UnimodularityError)
 from .model_space import ModelSpaceBasis, OperatorMatrix, ctheta_matrix, tto_matrix
+from .shift_spectra import _front_const, shift_constants
 from .symbols import InnerFunction, LaurentSymbol, as_symbol, memo
 
 TOL_ORTHO = 1e-10
@@ -118,7 +124,9 @@ class DualBandSpace:
 
     # ------------------------------------------------------------ the shift
     def shift_matrix(self):
-        """Read-only matrix of T_z, the compression of z, built once.
+        """Read-only matrix of T_z, the compression of z, built once in
+        closed form (``_shift_closed_form``).  It needs the split: a
+        realized space without one raises MissingDecompositionError.
 
         T_z stays in the space's store of dense matrices next to the
         compressions of the latest g, and is freed with the space.  Its
@@ -128,9 +136,10 @@ class DualBandSpace:
         """
         T = self._dense.get(_SHIFT)
         if T is None:
-            latest = dict(self._dense)
-            T = dualband_matrix(self, LaurentSymbol.monomial(1))
-            self._dense = {**latest, _SHIFT: T}
+            T = OperatorMatrix(_shift_closed_form(self), f"dualband:{self.n}",
+                               f"dualband:{self.n}")
+            T.entries.flags.writeable = False
+            self._dense[_SHIFT] = T
         return T.entries
 
     def _kept(self, kind, g, G, build):
@@ -311,6 +320,50 @@ def _band_quadrature(space, g, G):
     return OperatorMatrix(M, f"dualband:{space.n}", f"dualband:{space.n}")
 
 
+def _shift_closed_form(space):
+    """T_z from theta's zeros, its front constant and the split.
+
+    T_z = [[S, alpha k0 c0^H], [beta k0 c0^H, S]] with S the compression
+    of z to K_theta, k0 = conj(e(0)) the coordinates of the reproducing
+    kernel at the origin, and c0 those of C k0 = (theta - theta(0)) / z.
+    S is lower triangular, S[i, i] = a_i and, for i > j,
+    S[i, j] = w_i w_j prod_{j<k<i} (-conj(a_k)), w_k = sqrt(1 - |a_k|^2).
+    Each row of that product is the row above times -conj(a_{i-1}), with
+    a 1 on the subdiagonal, so zeros at the origin divide nothing.
+    """
+    c = shift_constants(space)
+    a = space.basis.zeros
+    n = space.n
+    w = np.sqrt(1.0 - np.abs(a) ** 2)
+    P = np.zeros((n, n), dtype=complex)
+    for i in range(1, n):
+        P[i, :i - 1] = P[i - 1, :i - 1] * -np.conj(a[i - 1])
+        P[i, i - 1] = 1.0
+    S = w[:, None] * P * w[None, :] + np.diag(a)
+    # k0_l = w_l prod_{j<l} (-conj(a_j)), c0_l = c w_l prod_{j>l} (-a_j)
+    k0 = w * np.concatenate([[1.0], np.cumprod(-np.conj(a[:-1]))])
+    c0 = _front_const(space.theta) * w * np.concatenate(
+        [np.cumprod(-a[:0:-1])[::-1], [1.0]])
+    K = np.outer(k0, np.conj(c0))
+    T = np.empty((2 * n, 2 * n), dtype=complex)
+    T[:n, :n] = T[n:, n:] = S
+    T[:n, n:] = c.alpha * K
+    T[n:, :n] = c.beta * K
+    return T
+
+
+def shift_quadrature_residual(space):
+    """max |shift_matrix() - the quadrature compression of z|: the closed
+    form against the band quadrature (realized) or the block assembly
+    (free).  None when the space has no split.  The quadrature is built
+    outside the space's store, so the latest g's matrices stay kept."""
+    if space.aplus is None or space.aminus is None:
+        return None
+    build = _band_quadrature if space.mode == "realized" else _block_assembly
+    Q = build(space, LaurentSymbol.monomial(1), None).entries
+    return float(np.max(np.abs(space.shift_matrix() - Q)))
+
+
 def unitary_equiv_check(space, g, G=None):
     """max |direct dual-band matrix - assembled block matrix|."""
     T = dualband_matrix(space, g, G=G)
@@ -354,6 +407,6 @@ def cm_symmetry_residual(space, g, G=None):
 
 __all__ = [
     "DualBandSpace", "build_dualband", "pm_apply", "block_w",
-    "dualband_matrix", "unitary_equiv_check", "is_zero_operator",
-    "cm_matrix", "cm_symmetry_residual",
+    "dualband_matrix", "shift_quadrature_residual", "unitary_equiv_check",
+    "is_zero_operator", "cm_matrix", "cm_symmetry_residual",
 ]

@@ -30,6 +30,16 @@ def _analytic_tail(sym):
     return float(np.sqrt(sym.tail_energy(lambda j: j < 0)))
 
 
+def _anti_analytic(c, lo, depth):
+    """Coefficients of indices -1, -2, ..., -depth from an array c whose
+    first entry has index lo; those outside c, and exact zeros, read +0."""
+    out = np.zeros(depth, dtype=complex)
+    pos = -1 - lo - np.arange(min(depth, -lo))
+    out[:pos.size] = c[pos]
+    out[~(np.abs(out) > 0)] = 0.0
+    return out
+
+
 @dataclass
 class HankelNormReport:
     norm: float              # largest singular value of the block Hankel
@@ -61,13 +71,16 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
                 f"co-analytic tail {tail:.3e}")
 
     tbs = space.basis.theta_symbol.conj()
-    dicts = {key: (tbs * s).coeff_dict(tol=0.0)
-             for key, s in entries.items()}
+    # (coefficients, lowest index) of conj(theta) g once: both diagonal
+    # entries are g
+    coeffs = {key: (tbs * entries[key]).fourier_coeffs()[:2]
+              for key in ((0, 0), (0, 1), (1, 0))}
+    coeffs[(1, 1)] = coeffs[(0, 0)]
     depth = space.n
-    for cd in dicts.values():
-        neg = [-k for k, v in cd.items() if k < 0 and abs(v) > 1e-14]
-        if neg:
-            depth = max(depth, max(neg))
+    for c, lo in coeffs.values():
+        neg = lo + np.flatnonzero(np.abs(c[:-lo]) > 1e-14)
+        if neg.size:
+            depth = max(depth, -int(neg[0]))
     if depth > 4096:
         raise CoefficientError(
             f"anti-analytic coefficients reach index {-depth}; "
@@ -75,10 +88,10 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
     # H[i, j] = c[i + j], with c zero from index depth on
     ij = np.add.outer(np.arange(depth), np.arange(depth))
     blocks = {}
-    for key, cd in dicts.items():
-        c = np.zeros(2 * depth - 1, dtype=complex)
-        c[:depth] = [cd.get(-(k + 1), 0.0) for k in range(depth)]
-        blocks[key] = c[ij]
+    for key, (c, lo) in coeffs.items():
+        h = np.zeros(2 * depth - 1, dtype=complex)
+        h[:depth] = _anti_analytic(c, lo, depth)
+        blocks[key] = h[ij]
     full = np.block([[blocks[(0, 0)], blocks[(0, 1)]],
                      [blocks[(1, 0)], blocks[(1, 1)]]])
     sigma = float(np.linalg.svd(full, compute_uv=False)[0])

@@ -36,9 +36,10 @@ case of that batch.
 Every check against a dense matrix reads one matrix per space, T_z =
 ``space.shift_matrix()``.  The band basis is orthonormal, so the matrix
 of the compression of z - lam is exactly T_z - lam I: eigenvector and
-resolvent residuals are measured as || T_z v - lam v ||.  T_z stays the
-quadrature ``dualband_matrix(space, z)``, so the eigen-residual checks
-the closed form against an independent computation.
+resolvent residuals are measured as || T_z v - lam v ||.  T_z is built
+in closed form from theta's zeros, its front constant and the split
+(``dual_band._shift_closed_form``); the quadrature compression of z
+checks it in the ``validate`` task (``shift_quadrature_residual``).
 """
 
 from __future__ import annotations

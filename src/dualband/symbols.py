@@ -124,8 +124,12 @@ def _check_den(den, root_check=True):
     if lead:
         raise PoleError("denominator vanishes at z = 0")
     if root_check and den.size > 1:
-        roots = np.roots(den[::-1])
-        if np.any(np.abs(np.abs(roots) - 1.0) <= TAU_ROOT):
+        if np.count_nonzero(den) == 2:
+            # d0 + dm z^m: every root has modulus |d0 / dm|^(1/m)
+            moduli = abs(den[0] / den[-1]) ** (1.0 / (den.size - 1))
+        else:
+            moduli = np.abs(np.roots(den[::-1]))
+        if np.any(np.abs(moduli - 1.0) <= TAU_ROOT):
             raise PoleError("denominator has a root on the unit circle")
     return den
 
@@ -137,14 +141,16 @@ class LaurentSymbol:
     kind == "rational": value = z**shift * num(z) / den(z)
 
     A rational built from given coefficients (``rational``, or the
-    constructor) root-checks its denominator: ``np.roots`` must find no
-    root within TAU_ROOT of the circle, else PoleError.  Products, sums
-    and circle conjugates (``__mul__``, ``__add__``, ``conj``) skip that
-    check (``_derived``): their denominator is a product of checked
-    denominators, or a checked one reflected, whose roots are the roots
-    of the factors, or the factor roots reflected in the circle.  A
-    root-check of a degree-128 denominator costs one eigenvalue solve of
-    a 128 x 128 companion matrix, which every product would repeat.
+    constructor) root-checks its denominator: no root may lie within
+    TAU_ROOT of the circle, else PoleError.  A binomial d0 + dm z^m has
+    every root at modulus |d0 / dm|^(1/m); any other denominator goes
+    through ``np.roots``.  Products, sums and circle conjugates
+    (``__mul__``, ``__add__``, ``conj``) skip that check (``_derived``):
+    their denominator is a product of checked denominators, or a checked
+    one reflected, whose roots are the roots of the factors, or the
+    factor roots reflected in the circle.  A root-check of a degree-128
+    denominator that is not a binomial costs one eigenvalue solve of a
+    128 x 128 companion matrix, which every product would repeat.
     """
 
     __slots__ = ("kind", "coeffs", "offset", "num", "den", "shift",

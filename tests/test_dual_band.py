@@ -1,5 +1,8 @@
 """Dual-band spaces: construction, block identity, symmetry, zero test."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,11 @@ from dualband import (DegeneracyError, InnerFunction, LaurentSymbol,
                       cm_matrix, cm_symmetry_residual,
                       dualband_matrix, hankel_norm, inverse_via_extension,
                       is_zero_operator, pm_apply, range_test,
-                      unitary_equiv_check)
+                      shift_quadrature_residual, unitary_equiv_check)
+from dualband.cli import main
 
 Z = LaurentSymbol.monomial
+SCN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def nilpotent_space():
@@ -220,7 +225,38 @@ class TestKeptDense:
         sp.shift_matrix()
         dualband_matrix(sp, g)
         block_w(sp, g)
-        assert seen == {"tto_matrix": 0, "band_quadrature": 1}
+        assert seen == {"tto_matrix": 0, "band_quadrature": 0}
+
+
+class TestShiftQuadratureResidual:
+    """validate checks the closed-form T_z against the quadrature of z."""
+
+    @pytest.mark.parametrize("name", ["blaschke_twist", "nilpotent"])
+    def test_validate_reports_it(self, tmp_path, monkeypatch, name):
+        built = []
+        band = dualband.dual_band._band_quadrature
+
+        def counting(space, g, G):
+            built.append(g.offset)
+            return band(space, g, G)
+
+        monkeypatch.setattr(dualband.dual_band, "_band_quadrature", counting)
+        path = os.path.join(SCN_DIR, f"{name}.scn")
+        assert main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{name}.report.json", encoding="utf-8") as fh:
+            validate = json.load(fh)["tasks"]["validate"]
+        assert validate["ok"]
+        assert validate["shift_quadrature_residual"] <= 1e-13
+        if name == "nilpotent":
+            # g = z^3 once for every task, and z once for the check
+            assert sorted(built) == [1, 3]
+
+    def test_keeps_latest_g(self):
+        sp = twist_space()
+        g = Z(3)
+        M = dualband_matrix(sp, g)
+        assert shift_quadrature_residual(sp) <= 1e-13
+        assert dualband_matrix(sp, g) is M
 
 
 class TestProjection:

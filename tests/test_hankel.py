@@ -84,6 +84,48 @@ class TestNorm:
                 assert np.ptp(np.abs(anti)) < 1e-12
 
 
+def dict_block(space, g):
+    """The block Hankel matrix read from full-grid coefficient dicts: the
+    reference for the array reads in ``hankel_norm``."""
+    fw, bw = space.ratios
+    entries = {(0, 0): g, (0, 1): g * fw, (1, 0): g * bw, (1, 1): g}
+    tbs = space.basis.theta_symbol.conj()
+    dicts = {key: (tbs * s).coeff_dict(tol=0.0)
+             for key, s in entries.items()}
+    depth = space.n
+    for cd in dicts.values():
+        neg = [-k for k, v in cd.items() if k < 0 and abs(v) > 1e-14]
+        if neg:
+            depth = max(depth, max(neg))
+    ij = np.add.outer(np.arange(depth), np.arange(depth))
+    blocks = {}
+    for key, cd in dicts.items():
+        c = np.zeros(2 * depth - 1, dtype=complex)
+        c[:depth] = [cd.get(-(k + 1), 0.0) for k in range(depth)]
+        blocks[key] = c[ij]
+    return np.block([[blocks[(0, 0)], blocks[(0, 1)]],
+                     [blocks[(1, 0)], blocks[(1, 1)]]])
+
+
+class TestBlockReference:
+    @pytest.mark.parametrize("make, g", [
+        (nilpotent_space, Z(3)),
+        (nilpotent_space, LaurentSymbol.from_coeffs({3: 0.5, 5: 1.0,
+                                                     6: -0.25j})),
+        (nilpotent_space, LaurentSymbol.from_coeffs({})),
+        (lambda: build_dualband(InnerFunction.monomial(8), phi=Z(1),
+                                psi=Z(10)),
+         LaurentSymbol.from_coeffs({9: 1.0, 11: 0.3 - 0.1j})),
+        (blaschke_space, None),
+    ], ids=["cube", "three_terms", "zero", "mono8", "blaschke"])
+    def test_block_bytes_match_dict_reference(self, make, g):
+        sp = make()
+        if g is None:
+            g = sp.psi * LaurentSymbol.from_coeffs({0: 1.0, 1: -0.7, 2: 0.2j})
+        assert hankel_norm(sp, g).block.tobytes() == \
+            dict_block(sp, g).tobytes()
+
+
 class TestAnalyticSpectrum:
     def test_nilpotent_shift(self):
         rep = analytic_spectrum(nilpotent_space(), Z(1))

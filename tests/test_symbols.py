@@ -5,9 +5,10 @@ import pytest
 
 from dualband import CoefficientError, InnerFunction, LaurentSymbol, PoleError
 from dualband.dual_band import build_dualband
-from dualband.symbols import (GRID_CAP, TAU_EVAL, analytic_project_values,
-                              choose_grid, difference_quotient, fft_freqs,
-                              grid_fft, grid_ifft, grid_points, refine_grid)
+from dualband.symbols import (GRID_CAP, TAU_EVAL, TAU_ROOT,
+                              analytic_project_values, choose_grid,
+                              difference_quotient, fft_freqs, grid_fft,
+                              grid_ifft, grid_points, refine_grid)
 
 
 def coeffs_of(sym, G=64):
@@ -41,6 +42,17 @@ def grid_reference(obj, G):
     if obj.kind == "laurent":
         return folded(obj.coeffs, obj.offset, G)
     return folded(obj.num, obj.shift, G) / folded(obj.den, 0, G)
+
+
+def twist_space(n, a):
+    """psi = conj(z^n) (z^2n - a) / (1 - a z^2n) over theta = z^n."""
+    num = np.zeros(2 * n + 1)
+    den = np.zeros(2 * n + 1)
+    num[0], num[2 * n] = -a, 1.0
+    den[0], den[2 * n] = 1.0, -a
+    psi = LaurentSymbol.monomial(n).conj() * LaurentSymbol.rational(num, den)
+    return build_dualband(InnerFunction.monomial(n),
+                          phi=LaurentSymbol.constant(1.0), psi=psi)
 
 
 class TestEval:
@@ -177,8 +189,44 @@ class TestDenominatorCheck:
         out = self.derived(*ops)
         assert calls == []
         assert all(s.kind == "rational" for s in out)
-        LaurentSymbol.rational([1.0], [1.0, 0.0, -0.25])
+        LaurentSymbol.rational([1.0], [1.0, 0.1, -0.25])
         assert calls == [3]
+
+    @pytest.mark.parametrize("m", (1, 2, 5, 128))
+    @pytest.mark.parametrize("rho", (1 + 2 * TAU_ROOT, 1 - 2 * TAU_ROOT,
+                                     1 + 0.5 * TAU_ROOT, 1 - 0.5 * TAU_ROOT,
+                                     0.5, 2.0))
+    def test_binomial_decides_as_roots(self, monkeypatch, m, rho):
+        # d0 + dm z^m with every root at modulus rho
+        den = np.zeros(m + 1, dtype=complex)
+        den[0], den[m] = 1.0, -np.exp(0.3j) / rho ** m
+        pole = bool(np.any(np.abs(np.abs(np.roots(den[::-1])) - 1.0)
+                           <= TAU_ROOT))
+        assert pole == (abs(rho - 1.0) <= TAU_ROOT)
+        calls = []
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p))
+        if pole:
+            with pytest.raises(PoleError):
+                LaurentSymbol.rational([1.0], den)
+        else:
+            LaurentSymbol.rational([1.0], den)
+        assert calls == []
+
+    def test_binomial_on_circle_raises(self):
+        with pytest.raises(PoleError):
+            LaurentSymbol.rational([1.0], [1.0, 0.0, 0.0, 0.0, -1.0])
+
+    def test_twist_makes_no_roots_call(self, monkeypatch):
+        calls = []
+        roots = np.roots
+
+        def counting(p):
+            calls.append(len(p))
+            return roots(p)
+
+        monkeypatch.setattr(np, "roots", counting)
+        twist_space(64, 0.5)
+        assert calls == []
 
     def test_derived_match_the_checked_build(self):
         # what each operator built before its check was dropped: the
@@ -346,15 +394,8 @@ class TestGridOracle:
         # the twist at n = 64: a split 3969 coefficients wide and a
         # rational psi with poles near the circle, against 40 digits
         mpmath = pytest.importorskip("mpmath")
-        n, a, G = 64, 0.5, 16384
-        num = np.zeros(2 * n + 1)
-        den = np.zeros(2 * n + 1)
-        num[0], num[2 * n] = -a, 1.0
-        den[0], den[2 * n] = 1.0, -a
-        psi = (LaurentSymbol.monomial(n).conj()
-               * LaurentSymbol.rational(num, den))
-        sp = build_dualband(InnerFunction.monomial(n),
-                            phi=LaurentSymbol.constant(1.0), psi=psi)
+        G = 16384
+        sp = twist_space(64, 0.5)
         assert sp.aminus.support() == (-3968, 0)
 
         def poly(coeffs, lo, z):
