@@ -212,10 +212,13 @@ def _task_resolvent(space, scn, opts):
         _, diag = resolvent_apply(space, lam, h, G=opts.get("grid"))
         solves.append({"lambda": lam, "residual": diag["residual"],
                        "cond_minus": diag["cond_minus"],
-                       "kind": diag["kind"], "region": diag["region"]})
+                       "kind": diag["kind"], "region": diag["region"],
+                       "warnings": diag["warnings"]})
         if diag["residual"] > lim:
             violations.append(f"resolvent residual {diag['residual']:.3e} "
                               f"at {lam} exceeds {lim:.3e}")
+        violations.extend(f"resolvent warning at {lam}: {w}"
+                          for w in diag["warnings"])
     return {"ok": not violations, "violations": violations,
             "solves": solves}
 

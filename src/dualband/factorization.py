@@ -29,6 +29,15 @@ Four families are covered:
 solve: project the lifted right-hand side between the factors and read
 off the first two components.
 
+Condition numbers: ``verify_factorization``'s ``plus_cond`` and
+``resolvent_apply``'s ``cond_minus`` hold the Frobenius bound of
+:mod:`dualband.matsym`, max_z ||F(z)||_F * max_z ||F(z)^{-1}||_F for the
+plus factor (inverted from the stored X) and the minus factor M.  It
+lies between the spectral max_z s_1 / min_z s_4 and four times it.
+``resolvent_apply`` warns when ``cond_minus`` times eps exceeds
+``COND_WARN``, the resolvent contract, which the CLI counts as a
+violation.
+
 Grids: without an explicit G every factorization is gridded by the
 extension rule, ``DualBandSpace.extension_grid``, which raises the
 space's quadrature grid (``DualBandSpace.default_grid`` over
@@ -57,6 +66,7 @@ CASE_WARN = 1e-6        # nonzero but tiny disc: flag ill conditioning
 DET_FLOOR = 1e-11       # factor determinant this small means lam is spectral
 L2_EXCEPTIONAL = 1e-10
 L2_WARN = 1e-6
+COND_WARN = 1e-6        # cond_minus * eps above this can cross the contract
 
 
 @dataclass
@@ -424,6 +434,11 @@ def resolvent_apply(space, lam, h_coords, G=None):
     H = np.vstack([o, o, h1, h2])
 
     Y, cond = res.minus.solve_values(H)
+    warnings = list(res.warnings)
+    if cond * np.finfo(float).eps > COND_WARN:
+        warnings.append(
+            f"minus factor condition bound {cond:.3e} times eps exceeds "
+            f"{COND_WARN:.0e}; lam is near the point spectrum")
     Yp = np.vstack([analytic_project_values(Y[i]) for i in range(4)])
     F = res.plus_inverse.matvec_values(Yp)
     coords = np.concatenate([space.basis.project_values(F[0]),
@@ -434,7 +449,7 @@ def resolvent_apply(space, lam, h_coords, G=None):
         space.shift_matrix() @ coords - lam * coords - h)) / hn
     diagnostics = {"cond_minus": cond, "residual": residual, "grid": Gq,
                    "kind": res.kind, "region": res.extras["region"],
-                   "warnings": list(res.warnings)}
+                   "warnings": warnings}
     return coords, diagnostics
 
 

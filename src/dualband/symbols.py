@@ -77,9 +77,10 @@ def grid_points(G):
 
 
 def grid_fft(values):
-    """Samples on the dyadic grid -> Fourier coefficients, FFT layout."""
+    """Samples on the dyadic grid -> Fourier coefficients, FFT layout,
+    along the last axis."""
     values = np.asarray(values, dtype=complex)
-    return np.fft.fft(values) / values.size
+    return np.fft.fft(values) / values.shape[-1]
 
 
 def grid_ifft(coeffs):

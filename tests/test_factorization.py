@@ -9,7 +9,9 @@ from dualband import (EigenvalueEncounteredError, InnerFunction,
                       LaurentSymbol, MissingDecompositionError, NoAdcError,
                       build_dualband, canonical_factors, dualband_matrix,
                       hminus_split, l2_factors, meromorphic_factors,
-                      resolvent_apply, verify_factorization)
+                      point_spectrum, resolvent_apply, verify_factorization)
+from dualband import cli
+from dualband.factorization import COND_WARN
 
 Z = LaurentSymbol.monomial
 
@@ -266,3 +268,30 @@ class TestResolvent:
     def test_eigenvalue_rejected(self):
         with pytest.raises(EigenvalueEncounteredError):
             resolvent_apply(nilpotent_space(), 0.0, [1, 0, 0, 0])
+
+    def test_cond_warn_is_the_resolvent_contract(self):
+        assert COND_WARN == cli.CONTRACTS["resolvent"]
+
+    def near_eigenvalue(self, offset):
+        sp = twist_space()
+        lam = point_spectrum(sp).points[0].lam + offset
+        rng = np.random.default_rng(cli.RESOLVENT_SEED)
+        h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return sp, lam, h
+
+    def test_close_to_eigenvalue_without_warning(self):
+        sp, lam, h = self.near_eigenvalue(1e-8)
+        _, diag = resolvent_apply(sp, lam, h)
+        assert diag["cond_minus"] * np.finfo(float).eps < COND_WARN
+        assert diag["residual"] < 1e-6
+        assert diag["warnings"] == []
+
+    def test_warns_where_cond_can_cross_the_contract(self):
+        sp, lam, h = self.near_eigenvalue(1e-10)
+        _, diag = resolvent_apply(sp, lam, h)
+        assert diag["cond_minus"] * np.finfo(float).eps > COND_WARN
+        assert any("condition bound" in w for w in diag["warnings"])
+        out = cli._TASKS["resolvent"](sp, SimpleNamespace(lambdas=[lam]), {})
+        assert not out["ok"]
+        assert out["solves"][0]["warnings"] == diag["warnings"]
+        assert any("condition bound" in v for v in out["violations"])
