@@ -51,6 +51,12 @@ def _limit(opts, key):
     return CONTRACTS[key]
 
 
+def _exceeds(value, limit):
+    """True when value is above limit or is NaN, which compares False
+    with every limit and would otherwise pass."""
+    return not value <= limit
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -85,13 +91,13 @@ def _task_validate(space, scn, opts):
     zero_by_norm = tnorm <= 2 * space.n * 1e-10
     shift = shift_quadrature_residual(space)
     violations = []
-    if assembly > lim:
+    if _exceeds(assembly, lim):
         violations.append(f"block assembly residual {assembly:.3e} exceeds "
                           f"{lim:.3e}")
-    if cm > lim:
+    if _exceeds(cm, lim):
         violations.append(f"conjugation symmetry residual {cm:.3e} exceeds "
                           f"{lim:.3e}")
-    if shift is not None and shift > lim:
+    if shift is not None and _exceeds(shift, lim):
         violations.append(f"shift quadrature residual {shift:.3e} exceeds "
                           f"{lim:.3e}")
     if zero != zero_by_norm:
@@ -119,7 +125,7 @@ def _task_spectrum(space, scn, opts):
             "ker_dim": int(p.kernel_dim), "residual": float(p.residual),
             "region": p.region, "det_value": p.det_value,
         })
-        if p.residual > lim:
+        if _exceeds(p.residual, lim):
             violations.append(f"eigenvector residual {p.residual:.3e} at "
                               f"{p.lam} exceeds {lim:.3e}")
     if not rep.cross_check.get("agrees", True):
@@ -147,10 +153,10 @@ def _task_kernel(space, scn, opts):
             rh = float(vec.meta["rh_residual"]) / max(vec.norm(), 1e-300)
             entries.append({"lambda": p.lam, "roundtrip": roundtrip,
                             "rh_residual": rh, "window": vec.n_ext})
-            if roundtrip > lim:
+            if _exceeds(roundtrip, lim):
                 violations.append(f"kernel roundtrip {roundtrip:.3e} at "
                                   f"{p.lam} exceeds {lim:.3e}")
-            if rh > lim:
+            if _exceeds(rh, lim):
                 violations.append(f"extension residual {rh:.3e} at "
                                   f"{p.lam} exceeds {lim:.3e}")
     out = {"ok": not violations, "violations": violations,
@@ -173,15 +179,15 @@ def _task_factorize(space, scn, opts):
                           "region": res.extras["region"],
                           "warnings": list(res.warnings), **chk})
         for key in ("identity_residual", "reconstruction_residual"):
-            if chk[key] > ilim:
+            if _exceeds(chk[key], ilim):
                 violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
                                   f"{ilim:.3e}")
         for key in ("plus_tail", "minus_tail"):
-            if chk[key] > tlim:
+            if _exceeds(chk[key], tlim):
                 violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
                                   f"{tlim:.3e}")
         for key in ("det_minus_dev", "det_plus_inverse_dev"):
-            if chk[key] > dlim:
+            if _exceeds(chk[key], dlim):
                 violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
                                   f"{dlim:.3e}")
     meromorphic = []
@@ -191,10 +197,10 @@ def _task_factorize(space, scn, opts):
         _, _, split_res = hminus_split(space, R, G=opts.get("grid"))
         meromorphic.append({"r": repr(R), "kind": res.kind,
                             "split_residual": split_res, **chk})
-        if chk["identity_residual"] > ilim:
+        if _exceeds(chk["identity_residual"], ilim):
             violations.append(f"meromorphic identity {chk['identity_residual']:.3e} "
                               f"exceeds {ilim:.3e}")
-        if split_res > ilim:
+        if _exceeds(split_res, ilim):
             violations.append(f"split residual {split_res:.3e} exceeds "
                               f"{ilim:.3e}")
     return {"ok": not violations, "violations": violations,
@@ -214,7 +220,7 @@ def _task_resolvent(space, scn, opts):
                        "cond_minus": diag["cond_minus"],
                        "kind": diag["kind"], "region": diag["region"],
                        "warnings": diag["warnings"]})
-        if diag["residual"] > lim:
+        if _exceeds(diag["residual"], lim):
             violations.append(f"resolvent residual {diag['residual']:.3e} "
                               f"at {lam} exceeds {lim:.3e}")
         violations.extend(f"resolvent warning at {lam}: {w}"
@@ -227,10 +233,10 @@ def _task_norm(space, scn, opts):
     lim = _limit(opts, "norm")
     rep = hankel_norm(space, scn.g)
     tnorm = float(np.linalg.norm(dualband_matrix(space, scn.g).entries, 2))
-    values = (rep.norm, rep.matrix_norm, tnorm)
-    spread = max(values) - min(values)
+    # np.ptp, unlike max() - min() on a tuple, carries a NaN through
+    spread = float(np.ptp([rep.norm, rep.matrix_norm, tnorm]))
     violations = []
-    if spread > lim:
+    if _exceeds(spread, lim):
         violations.append(f"norm spread {spread:.3e} exceeds {lim:.3e}")
     return {"ok": not violations, "violations": violations,
             "hankel_norm": rep.norm, "block_matrix_norm": rep.matrix_norm,

@@ -324,12 +324,15 @@ class InverseCertificate:
     """``cond``: the minus factor's ``cond_minus`` on the factorization
     route, s_max / s_min of the dense compression on the finite-section
     route (the section itself has a numerical kernel that the
-    least-squares solve steps around, so its cond says nothing)."""
+    least-squares solve steps around, so its cond says nothing).
+    ``warnings``: those of ``resolvent_apply`` on the factorization
+    route, such as a minus factor too ill conditioned for its contract."""
     method: str
     residual: float
     direct_gap: float
     cond: float
     notes: str = ""
+    warnings: list = field(default_factory=list)
 
 
 def _shift_parameters(g):
@@ -370,6 +373,7 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
         coords, diag = resolvent_apply(space, lam, h)
         coords = coords / scale
         method, cond, notes = "factorization", diag["cond_minus"], ""
+        warnings = diag["warnings"]
     else:
         vec, _ = _section_solve(space, g, h, n_ext)
         F = vec.values_on(vec.meta["grid"])
@@ -377,12 +381,14 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
                                  space.basis.project_values(F[1])])
         cond = float(s[0] / s[-1])
         method, notes = "finite-section", "no factorization route for this symbol"
+        warnings = []
 
     hn = max(float(np.linalg.norm(h)), 1e-300)
     residual = float(np.linalg.norm(T @ coords - h)) / hn
     gap = float(np.linalg.norm(coords - direct)) / \
         max(float(np.linalg.norm(direct)), 1e-300)
-    return coords, InverseCertificate(method, residual, gap, cond, notes)
+    return coords, InverseCertificate(method, residual, gap, cond, notes,
+                                      warnings)
 
 
 __all__ = [

@@ -384,9 +384,11 @@ def verify_factorization(res):
     (constant and equal to the closed form, or R^2 pointwise for the
     meromorphic family).
     """
-    Dw = monomial_diag_values(res.diag_powers, res.grid)
     lhs = res.symbol.matmul(res.plus_inverse)
-    rhs = res.minus.scale_columns(Dw)
+    rhs = res.minus
+    if any(res.diag_powers):
+        rhs = rhs.scale_columns(
+            monomial_diag_values(res.diag_powers, res.grid))
     out = {"identity_residual": lhs.max_abs_diff(rhs)}
 
     plus, cond = res.plus_inverse.pointwise_inverse()

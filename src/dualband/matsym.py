@@ -13,6 +13,22 @@ Since ||A||_2 <= ||A||_F <= sqrt(r) ||A||_2 for r x r matrices, it lies
 between the spectral cond_2 = max_z s_1 / min_z s_r and r cond_2 (4 for
 the extension symbols), so a refusal at a given cap is never looser
 than one on cond_2.
+
+Products (``matmul``) and determinants (``det_values``) work entry by
+entry on whole length-G sample rows of the (r, c, G) layout, with no
+per-point LAPACK call.  A product skips every term whose factor entry is
+exactly zero on the grid (the extension and factor symbols have 2 to 8
+such entries of 16), which changes no bit of the sum.  A determinant is
+the Laplace expansion into complementary 2 x 2 minors of rows 0-1 and
+2-3.
+
+The inverse stays with LAPACK.  The adjugate inverse adj(M) / det(M) is
+Cramer's rule, which is not backward stable (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 14.6): it raised case_ii's
+reconstruction residual to 1.8e-12 and cut the benchmark's residual
+margin from 3.13 to 1.28 digits.  A vectorised partial-pivot LU over
+the stack took 5.0 ms against 2.9 ms for ``inv`` at G = 4096 (one
+thread of a 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -36,13 +52,36 @@ class MatrixSymbol:
 
     # ------------------------------------------------------------- algebra
     def matmul(self, other):
-        if isinstance(other, MatrixSymbol):
-            if other.grid != self.grid:
-                raise GridMismatchError("matrix symbols on different grids")
-            a = np.moveaxis(self.values, 2, 0)
-            b = np.moveaxis(other.values, 2, 0)
-            return MatrixSymbol(np.moveaxis(a @ b, 0, 2))
-        raise TypeError("matmul expects another MatrixSymbol")
+        """Pointwise product, entry by entry over whole sample rows.
+
+        out[i, k] sums a[i, j] * b[j, k] in increasing j, skipping each
+        term whose factor entry is exactly zero on the whole grid, which
+        leaves every bit of the sum unchanged.  With a non-finite sample
+        in either operand nothing is skipped, so 0 * inf still gives NaN
+        wherever the stacked ``@`` would.
+        """
+        if not isinstance(other, MatrixSymbol):
+            raise TypeError("matmul expects another MatrixSymbol")
+        if other.grid != self.grid:
+            raise GridMismatchError("matrix symbols on different grids")
+        (r, m), (m2, k) = self.shape, other.shape
+        if m != m2:
+            raise ValueError(f"cannot multiply {r}x{m} by {m2}x{k} symbols")
+        a, b = self.values, other.values
+        live_a, live_b = _live_entries(a), _live_entries(b)
+        if live_a is None or live_b is None:    # 0 * inf, 0 * nan stay NaN
+            live_a, live_b = [[True] * m] * r, [[True] * k] * m
+        out = np.zeros((r, k, self.grid), dtype=complex)
+        term = np.empty(self.grid, dtype=complex)
+        for i in range(r):
+            for l in range(k):
+                js = [j for j in range(m) if live_a[i][j] and live_b[j][l]]
+                if js:
+                    np.multiply(a[i, js[0]], b[js[0], l], out=out[i, l])
+                for j in js[1:]:
+                    np.multiply(a[i, j], b[j, l], out=term)
+                    out[i, l] += term
+        return MatrixSymbol(out)
 
     def matvec_values(self, vec_values):
         """Apply pointwise to a stacked vector of samples (c, G)."""
@@ -93,7 +132,16 @@ class MatrixSymbol:
 
     # ------------------------------------------------------------ analysis
     def det_values(self):
-        return np.linalg.det(np.moveaxis(self.values, 2, 0))
+        """Pointwise determinant of a 4 x 4 symbol, by the Laplace
+        expansion along rows 0-1 into complementary 2 x 2 minors."""
+        if self.shape != (4, 4):
+            raise ValueError("det_values expects a 4x4 symbol")
+        v = self.values
+        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        s = [v[0, p] * v[1, q] - v[0, q] * v[1, p] for p, q in pairs]
+        c = [v[2, p] * v[3, q] - v[2, q] * v[3, p] for p, q in pairs]
+        return (s[0] * c[5] - s[1] * c[4] + s[2] * c[3]
+                + s[3] * c[2] - s[4] * c[1] + s[5] * c[0])
 
     def entry_coeffs(self, i, j):
         """FFT-layout Fourier coefficients of entry (i, j)."""
@@ -109,6 +157,17 @@ class MatrixSymbol:
 
     def max_abs_diff(self, other):
         return float(np.max(np.abs(self.values - other.values)))
+
+
+def _live_entries(values):
+    """Rows of flags marking the entries of an (r, c, G) stack that are
+    not exactly zero on the whole grid, or None when a sample is NaN or
+    inf: the sum of all samples is then not finite.  A finite sum that
+    overflows also gives None, which only costs the skipping."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(values.sum()):
+            return None
+    return values.any(axis=2).tolist()
 
 
 def monomial_diag_values(powers, G):

@@ -1,9 +1,11 @@
 """Command line runner: exit codes, artifacts, determinism, goldens."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualband.cli import golden_bytes, main
@@ -177,3 +179,40 @@ class TestRegold:
         code = main(["regold", str(tmp_path)])
         assert code == 3
         assert "no scenarios" in capsys.readouterr().err
+
+
+class TestNonFiniteResidual:
+    """A NaN residual fails its contract: NaN > limit is False."""
+
+    def test_nan_minus_factor_fails_factorize(self, tmp_path, monkeypatch):
+        import dualband.cli as cli
+        real = cli.canonical_factors
+
+        def planted(space, lam, G=None):
+            res = real(space, lam, G=G)
+            res.minus.values[0, 0, 7] = np.nan
+            return res
+
+        monkeypatch.setattr(cli, "canonical_factors", planted)
+        out = str(tmp_path / "out")
+        code = main(["factorize", "--scenario", CASE_II, "--out", out])
+        assert code == 2
+        task = read_json(os.path.join(out, "case_ii.report.json"))[
+            "tasks"]["factorize"]
+        assert task["ok"] is False
+        text = "\n".join(task["violations"])
+        for key in ("identity_residual", "reconstruction_residual",
+                    "minus_tail", "det_minus_dev"):
+            assert key in text
+
+    def test_nan_norm_fails_norm(self, tmp_path, monkeypatch):
+        import dualband.cli as cli
+        real = cli.hankel_norm
+
+        def planted(space, g):
+            return dataclasses.replace(real(space, g), matrix_norm=np.nan)
+
+        monkeypatch.setattr(cli, "hankel_norm", planted)
+        code = main(["norm", "--scenario", NILPOTENT,
+                     "--out", str(tmp_path)])
+        assert code == 2

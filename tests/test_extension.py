@@ -198,6 +198,20 @@ class TestInverse:
         assert cert.method == "factorization"
         assert cert.residual < 1e-6
         assert cert.direct_gap < 1e-6
+        assert cert.warnings == []
+
+    def test_shift_route_carries_resolvent_warnings(self):
+        # 1e-9 off an eigenvalue the minus factor has cond ~ 5e9, which
+        # resolvent_apply flags; the certificate must not drop the flag
+        sp = twist_space()
+        h = np.array([1.0, 0.25j, -0.5, 0.75])
+        lam = point_spectrum(sp).points[0].lam + 1e-9
+        _, cert = inverse_via_extension(
+            sp, LaurentSymbol.from_coeffs({0: -lam, 1: 1.0}), h)
+        assert cert.method == "factorization"
+        assert cert.cond > 1e9
+        assert len(cert.warnings) == 1
+        assert "condition bound" in cert.warnings[0]
 
     def test_shift_route_zero_constant(self):
         sp = nilpotent_space()

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from dualband import SingularOperatorError
-from dualband.factorization import (canonical_factors, meromorphic_factors,
-                                    resolvent_apply, verify_factorization)
+from dualband.factorization import (canonical_factors, hminus_split,
+                                    meromorphic_factors, resolvent_apply,
+                                    verify_factorization)
 from dualband.matsym import MatrixSymbol
 from dualband.scenario import build_space, parse_scenario
 from dualband.symbols import fft_freqs, grid_fft
@@ -114,19 +115,123 @@ class TestSolve:
         assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_no_svd_on_the_factor_path(self, monkeypatch):
-        _, sp = scenario("blaschke_twist")
+        scn, sp = scenario("blaschke_twist")
         calls = []
-        svd = np.linalg.svd
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        counting("svd")
+        counting("det")
         res = canonical_factors(sp, 0.3)
         verify_factorization(res)
+        hminus_split(sp, scn.rfactors[0])
         resolvent_apply(sp, 0.3, np.ones(2 * sp.n))
         assert not calls
+
+
+def sparse_pair(seed, G=256):
+    """Random (4, 4, G) stacks with some entries zero on the whole grid,
+    as in the factor symbols."""
+    rng = np.random.default_rng(seed)
+    a, b = (np.moveaxis(random_stack(rng, G), 0, 2) for _ in range(2))
+    a[rng.random((4, 4)) < 0.4] = 0
+    b[rng.random((4, 4)) < 0.4] = 0
+    return a, b
+
+
+def stacked_matmul(a, b):
+    return np.moveaxis(np.moveaxis(a, 2, 0) @ np.moveaxis(b, 2, 0), 0, 2)
+
+
+def unskipped_matmul(a, b):
+    """out[i, k] = sum_j a[i, j] b[j, k] over every j, in increasing j."""
+    out = np.empty((a.shape[0], b.shape[1], a.shape[2]), dtype=complex)
+    for i in range(a.shape[0]):
+        for k in range(b.shape[1]):
+            out[i, k] = sum(a[i, j] * b[j, k] for j in range(a.shape[1]))
+    return out
+
+
+def factor_products():
+    for name in ("blaschke_twist", "case_ii", "nilpotent"):
+        scn, sp = scenario(name)
+        res = canonical_factors(sp, scn.lambdas[0])
+        plus, _ = res.plus_inverse.pointwise_inverse()
+        yield res.symbol, res.plus_inverse
+        yield res.minus, plus
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stacked_matmul(self, seed):
+        a, b = sparse_pair(seed)
+        got = MatrixSymbol(a).matmul(MatrixSymbol(b)).values
+        fro = [np.sqrt((np.abs(x) ** 2).sum(axis=(0, 1))) for x in (a, b)]
+        bound = 4 * np.finfo(float).eps * fro[0] * fro[1]
+        assert np.all(np.abs(got - stacked_matmul(a, b)) <= bound)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_skipping_zeros_keeps_every_bit(self, seed):
+        a, b = sparse_pair(seed)
+        got = MatrixSymbol(a).matmul(MatrixSymbol(b)).values
+        assert np.array_equal(got, unskipped_matmul(a, b))
+
+    def test_skipping_zeros_keeps_every_bit_on_factors(self):
+        for x, y in factor_products():
+            assert np.array_equal(x.matmul(y).values,
+                                  unskipped_matmul(x.values, y.values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("left", [True, False])
+    def test_non_finite_meets_zero_entry(self, bad, left):
+        a, b = sparse_pair(7, G=32)
+        if left:
+            a[1, 2, 5] = bad
+            b[2] = 0        # row 2 of b faces the bad sample
+        else:
+            b[2, 1, 9] = bad
+            a[:, 2] = 0     # column 2 of a faces it
+        with np.errstate(invalid="ignore"):
+            got = MatrixSymbol(a).matmul(MatrixSymbol(b)).values
+            want = stacked_matmul(a, b)
+        assert not np.all(np.isfinite(want))
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+def hadamard_bound(values):
+    """Pointwise product of the row norms, which bounds |det|."""
+    return np.prod(np.sqrt((np.abs(values) ** 2).sum(axis=1)), axis=0)
+
+
+class TestDet:
+    # Relative to |det| the two algorithms can differ by more: case_ii's
+    # minus factor at lam = 3 has entries near 3e3 and det 0.25, and the
+    # minors reach the exact constant within 3.9e-14 where LU reaches it
+    # within 7e-15.  The row-norm product is the scale both errors share.
+    def check(self, sym):
+        want = np.linalg.det(np.moveaxis(sym.values, 2, 0))
+        err = np.abs(sym.det_values() - want)
+        assert np.all(err <= 1e-13 * hadamard_bound(sym.values))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lu_on_random_stacks(self, seed):
+        a, _ = sparse_pair(seed)
+        self.check(stack_symbol(random_stack(np.random.default_rng(seed))))
+        self.check(MatrixSymbol(a))
+
+    def test_matches_lu_on_scenario_factors(self):
+        for label, sym in scenario_factor_stacks():
+            self.check(sym)
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            MatrixSymbol(np.ones((3, 3, 8))).det_values()
 
 
 class TestTail:
