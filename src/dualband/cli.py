@@ -175,7 +175,7 @@ def _task_factorize(space, scn, opts):
     for lam in scn.lambdas:
         res = canonical_factors(space, lam, G=opts.get("grid"))
         chk = verify_factorization(res)
-        canonical.append({"lambda": lam, "kind": res.kind,
+        canonical.append({"lambda": lam, "kind": res.kind, "grid": res.grid,
                           "region": res.extras["region"],
                           "warnings": list(res.warnings), **chk})
         for key in ("identity_residual", "reconstruction_residual"):
@@ -195,7 +195,7 @@ def _task_factorize(space, scn, opts):
         res = meromorphic_factors(space, R, G=opts.get("grid"))
         chk = verify_factorization(res)
         _, _, split_res = hminus_split(space, R, G=opts.get("grid"))
-        meromorphic.append({"r": repr(R), "kind": res.kind,
+        meromorphic.append({"r": repr(R), "kind": res.kind, "grid": res.grid,
                             "split_residual": split_res, **chk})
         if _exceeds(chk["identity_residual"], ilim):
             violations.append(f"meromorphic identity {chk['identity_residual']:.3e} "
@@ -217,7 +217,7 @@ def _task_resolvent(space, scn, opts):
     for lam in scn.lambdas:
         _, diag = resolvent_apply(space, lam, h, G=opts.get("grid"))
         solves.append({"lambda": lam, "residual": diag["residual"],
-                       "cond_minus": diag["cond_minus"],
+                       "cond_minus": diag["cond_minus"], "grid": diag["grid"],
                        "kind": diag["kind"], "region": diag["region"],
                        "warnings": diag["warnings"]})
         if _exceeds(diag["residual"], lim):

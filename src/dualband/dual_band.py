@@ -45,15 +45,12 @@ from .errors import (DegeneracyError, MissingDecompositionError,
                      OrthogonalityError, UnimodularityError)
 from .model_space import ModelSpaceBasis, OperatorMatrix, ctheta_matrix, tto_matrix
 from .shift_spectra import _front_const, shift_constants
-from .symbols import InnerFunction, LaurentSymbol, as_symbol, memo
+from .symbols import InnerFunction, LaurentSymbol, _next_pow2, as_symbol, memo
 
 TOL_ORTHO = 1e-10
 TOL_UNIMOD = 1e-10
 TOL_DEGEN = 1e-6
 TOL_SPLIT = 1e-10
-# Grid floor of every four-by-four extension symbol: the lam-dependent
-# factor profiles are not among the symbols the quadrature rule sees.
-EXTENSION_GRID_FLOOR = 4096
 # key of T_z in a space's store of dense matrices
 _SHIFT = "shift"
 
@@ -102,8 +99,10 @@ class DualBandSpace:
 
     def extension_grid(self, g=None, n_ext=0):
         """Grid of the four-by-four extension symbols of g (or of the
-        shift family when g is None) with coefficient window n_ext."""
-        return max(EXTENSION_GRID_FLOOR, 4 * (n_ext + 1),
+        shift family when g is None) with coefficient window n_ext: the
+        quadrature grid with eight more frequencies of span, raised to
+        the power of two at or above four times the window."""
+        return max(_next_pow2(4 * (n_ext + 1)),
                    self.default_grid([g] if g is not None else (),
                                      extra_span=8))
 

@@ -19,13 +19,14 @@ invert through it.
 
 Grids: every four-by-four symbol here is gridded by the extension rule,
 ``DualBandSpace.extension_grid``: the quadrature grid of the space and g
-with eight more frequencies of span, raised to
-``dual_band.EXTENSION_GRID_FLOOR`` and to four times the coefficient
-window.  The floor is there because the factor profiles that depend on
-lam are not among the symbols the quadrature rule sees.  The dense
-matrices these routines compare against keep the quadrature rule,
-``DualBandSpace.default_grid`` over ``symbols.choose_grid``.  The grid
-conventions in :mod:`dualband.symbols` describe both rules.
+with eight more frequencies of span, raised to the power of two at or
+above four times the coefficient window.  There is no fixed floor; a
+kernel lift's grid grows with its window, which stops at 1024 with
+``CutoffError``.  The dense matrices these routines compare against keep
+the quadrature rule, ``DualBandSpace.default_grid`` over
+``symbols.choose_grid``.  The grid conventions in :mod:`dualband.symbols`
+describe both rules and why the quadrature rule suffices for the
+lam-dependent factor profiles.
 """
 
 from __future__ import annotations

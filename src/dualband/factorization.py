@@ -39,13 +39,17 @@ lies between the spectral max_z s_1 / min_z s_4 and four times it.
 violation.
 
 Grids: without an explicit G every factorization is gridded by the
-extension rule, ``DualBandSpace.extension_grid``, which raises the
-space's quadrature grid (``DualBandSpace.default_grid`` over
-``symbols.choose_grid``) to ``dual_band.EXTENSION_GRID_FLOOR``.  The
-floor covers the lam-dependent profiles of the factors (difference
-quotients and reproducing kernels), which the quadrature rule does not
-see.  The grid conventions in :mod:`dualband.symbols` describe both
-rules.
+extension rule, ``DualBandSpace.extension_grid``: the space's quadrature
+grid (``DualBandSpace.default_grid`` over ``symbols.choose_grid``) with
+eight more frequencies of span.  The R family passes R, so R's span
+counts; the shift family z - lam passes nothing.  No floor is needed for
+the lam-dependent profiles: the difference quotient
+(theta(z) - theta(lam)) / (z - lam) inside the disc and
+(1 - tau theta(z)) / (z - lam), tau = conj(theta(1/conj(lam))), outside
+are rationals with theta's poles only, since the reflection identity
+theta(z) conj(theta(1/conj(z))) = 1 removes the pole at lam.  The
+quadrature rule already resolves theta.  The grid conventions in
+:mod:`dualband.symbols` describe both rules.
 """
 
 from __future__ import annotations
@@ -85,13 +89,13 @@ class FactorizationResult:
 
 def build_g_r(space, R, G=None):
     """Extension symbol of the polynomial family member R, split form."""
-    rv = R.sample(G or space.extension_grid())
+    rv = R.sample(G or space.extension_grid(R))
     return split_form_symbol(space, rv), rv
 
 
 def build_g_tilde(space, R, G=None):
     """Triangular remainder of the R-family after the bounded peel."""
-    G = G or space.extension_grid()
+    G = G or space.extension_grid(R)
     th = space.theta.sample(G)
     tb = np.conj(th)
     rv = R.sample(G)
@@ -223,7 +227,7 @@ def meromorphic_factors(space, R, G=None):
     determinant R^2; the minus side is bounded only up to the degree of
     R, which the verification treats as the allowed support.
     """
-    G = G or space.extension_grid()
+    G = G or space.extension_grid(R)
     symbol, rv = build_g_r(space, R, G=G)
     th = space.theta.sample(G)
     tb = np.conj(th)
@@ -265,7 +269,7 @@ def hminus_split(space, R, G=None):
     triangular symbol handled by the L^2 factorization.  Returns
     (H, remainder, residual).
     """
-    G = G or space.extension_grid()
+    G = G or space.extension_grid(R)
     symbol, rv = build_g_r(space, R, G=G)
     Apb, Am = space.split_values(G)
     o = np.zeros(G, dtype=complex)

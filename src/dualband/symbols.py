@@ -27,12 +27,18 @@ Two grid rules pick ``G`` when the caller does not:
   raises ``CoefficientError``.  It serves the compressions on K_theta
   and on the dual-band space.
 * The extension rule, ``DualBandSpace.extension_grid``: the quadrature
-  grid with eight more frequencies of span, raised to a floor of 4096
-  and to four times the coefficient window.  It serves every four-by-four
-  symbol (``extension`` and ``factorization``).  The floor is there
-  because the lam-dependent factor profiles (difference quotients and
-  reproducing kernels) are not among the symbols the quadrature rule
-  sees.
+  grid of the space and g (for the R family, g is R) with eight more
+  frequencies of span, raised to the power of two at or above four
+  times the coefficient window.  It serves every four-by-four symbol
+  (``extension`` and ``factorization``) and has no floor of its own.
+  The lam-dependent factor profiles need none: a space's theta is a
+  finite Blaschke product, and both profiles are rationals with theta's
+  poles only.  Inside the disc the profile is the difference quotient
+  (theta(z) - theta(lam)) / (z - lam).  Outside it is
+  (1 - tau theta(z)) / (z - lam) with tau = conj(theta(1/conj(lam))),
+  and the reflection identity theta(z) conj(theta(1/conj(z))) = 1 makes
+  its pole at lam removable.  The quadrature rule resolves theta, so it
+  resolves both profiles.
 
 Sampling convention: ``sample(G)`` reads an object on the size-G grid.
 It is computed once per grid size (``memo``), kept on the object and

@@ -212,7 +212,13 @@ def test_criterion_08_canonical_factorization():
     for sp, lam in [(twist_space(), 0.3), (case_ii_space(), 0.2)]:
         res = canonical_factors(sp, lam)
         rep = verify_factorization(res)
-        assert res.grid >= 4096
+        # the extension rule's grid, and on it the samples of a 4096 grid
+        assert res.grid == sp.extension_grid()
+        fine = canonical_factors(sp, lam, G=4096)
+        for name in ("minus", "plus_inverse", "symbol"):
+            coarse = getattr(res, name).values
+            ref = getattr(fine, name).values[..., ::4096 // res.grid]
+            assert np.max(np.abs(coarse - ref)) <= 1e-14 * np.max(np.abs(ref))
         for key, val in rep.items():
             if key != "plus_cond":
                 worst[key] = max(worst.get(key, 0.0), val)

@@ -88,6 +88,24 @@ def free_space():
                           aminus=LaurentSymbol.constant(2.5))
 
 
+class TestExtensionGrid:
+    @pytest.mark.parametrize("n_ext", [0, 127, 128, 1023, 1024, 2000])
+    def test_power_of_two_above_the_window(self, n_ext):
+        for sp in (nilpotent_space(), twist_space(), free_space()):
+            G = sp.extension_grid(Z(1), n_ext)
+            assert G & (G - 1) == 0
+            assert G >= 4 * (n_ext + 1)
+            assert G >= sp.default_grid([Z(1)], extra_span=8)
+            assert G < 8 * (n_ext + 1) or \
+                G == sp.default_grid([Z(1)], extra_span=8)
+
+    def test_no_floor(self):
+        # the quadrature rule alone sizes the shift family's grid
+        assert nilpotent_space().extension_grid() == 64
+        assert twist_space().extension_grid() == 2048
+        assert free_space().extension_grid() == 2048
+
+
 class TestKeptPerSpace:
     """The band ratios and theta's symbol are built with the space."""
 

@@ -1,5 +1,7 @@
 """Explicit factorizations of the extension symbols and the resolvent."""
 
+import glob
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,13 +9,20 @@ import pytest
 
 from dualband import (EigenvalueEncounteredError, InnerFunction,
                       LaurentSymbol, MissingDecompositionError, NoAdcError,
-                      build_dualband, canonical_factors, dualband_matrix,
-                      hminus_split, l2_factors, meromorphic_factors,
-                      point_spectrum, resolvent_apply, verify_factorization)
+                      build_dualband, build_space, canonical_factors,
+                      dualband_matrix, hminus_split, l2_factors,
+                      meromorphic_factors, parse_scenario, point_spectrum,
+                      resolvent_apply, verify_factorization)
 from dualband import cli
 from dualband.factorization import COND_WARN
+from dualband.symbols import TAU_ALIAS, band_energy
 
 Z = LaurentSymbol.monomial
+SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                          "scenarios", "*.scn")))
+# points near the circle on both sides, and far outside
+EDGE_LAMBDAS = (0.9999, 1.0001, -1.0001j, 3.0, 10.0)
+FINE = 4096
 
 
 def nilpotent_space():
@@ -295,3 +304,117 @@ class TestResolvent:
         assert not out["ok"]
         assert out["solves"][0]["warnings"] == diag["warnings"]
         assert any("condition bound" in v for v in out["violations"])
+
+
+# --------------------------------------------------------------------------
+# the extension rule's grid against a finer one
+# --------------------------------------------------------------------------
+
+def scenario_case(path):
+    scn = parse_scenario(path)
+    return scn, build_space(scn)
+
+
+def assert_within_contracts(out):
+    ilim = cli.CONTRACTS["factorize_identity"]
+    tlim = cli.CONTRACTS["factorize_tail"]
+    dlim = cli.CONTRACTS["factorize_det"]
+    assert out["identity_residual"] <= ilim
+    assert out["reconstruction_residual"] <= ilim
+    assert out["plus_tail"] <= tlim
+    assert out["minus_tail"] <= tlim
+    assert out["det_minus_dev"] <= dlim
+    assert out["det_plus_inverse_dev"] <= dlim
+
+
+def shared_node_gap(coarse, fine):
+    """Relative gap of two gridded symbols at the coarse grid's nodes."""
+    ref = fine.values[..., ::fine.grid // coarse.grid]
+    return np.max(np.abs(coarse.values - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
+class TestRefinement:
+    """The extension rule's grid reads what a 4096 grid reads."""
+
+    def test_canonical_and_resolvent(self, path):
+        scn, sp = scenario_case(path)
+        rng = np.random.default_rng(cli.RESOLVENT_SEED)
+        h = rng.standard_normal(2 * sp.n) + 1j * rng.standard_normal(2 * sp.n)
+        for lam in (*scn.lambdas, *EDGE_LAMBDAS):
+            res = canonical_factors(sp, lam)
+            fine = canonical_factors(sp, lam, G=FINE)
+            assert res.grid == sp.extension_grid() < FINE
+            for r in (res, fine):
+                assert_within_contracts(verify_factorization(r))
+            for name in ("symbol", "minus", "plus_inverse"):
+                assert shared_node_gap(getattr(res, name),
+                                       getattr(fine, name)) <= 1e-12
+            coords, diag = resolvent_apply(sp, lam, h)
+            want, fdiag = resolvent_apply(sp, lam, h, G=FINE)
+            assert (diag["grid"], fdiag["grid"]) == (res.grid, FINE)
+            assert np.linalg.norm(coords - want) <= \
+                1e-12 * np.linalg.norm(want)
+
+    def test_r_family(self, path):
+        scn, sp = scenario_case(path)
+        ilim = cli.CONTRACTS["factorize_identity"]
+        for R in scn.rfactors:
+            res = meromorphic_factors(sp, R)
+            fine = meromorphic_factors(sp, R, G=FINE)
+            assert res.grid == sp.extension_grid(R) < FINE
+            for r in (res, fine):
+                assert_within_contracts(verify_factorization(r))
+            for name in ("symbol", "minus", "plus_inverse"):
+                assert shared_node_gap(getattr(res, name),
+                                       getattr(fine, name)) <= 1e-12
+            H, tilde, residual = hminus_split(sp, R)
+            Hf, tildef, residualf = hminus_split(sp, R, G=FINE)
+            assert H.grid == res.grid
+            assert max(residual, residualf) <= ilim
+            assert shared_node_gap(H, Hf) <= 1e-12
+            assert shared_node_gap(tilde, tildef) <= 1e-12
+
+
+def non_monomial_space():
+    rng = np.random.default_rng(18)
+    zeros = 0.8 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))
+    theta = InnerFunction.blaschke(zeros, const=np.exp(0.7j))
+    return build_dualband(theta,
+                          aplus=LaurentSymbol.from_coeffs({0: 0.8, 1: 0.3j}),
+                          aminus=LaurentSymbol.from_coeffs({0: 0.6}))
+
+
+def argument_cases():
+    for path in SCENARIOS:
+        scn, sp = scenario_case(path)
+        yield sp, (*scn.lambdas, *EDGE_LAMBDAS)
+    yield non_monomial_space(), (0.3, 0.5 + 0.4j, 2.0, *EDGE_LAMBDAS)
+
+
+class TestProfilesNeedNoFloor:
+    """Why the quadrature rule grids the factors: both lam-profiles are
+    rationals with theta's poles only."""
+
+    def test_reflection_identity(self):
+        # theta(z) conj(theta(1/conj(z))) = 1 makes the exterior profile
+        # (1 - tau theta)/(z - lam), tau = conj(theta(1/conj(lam))),
+        # vanish at z = lam
+        for sp, lams in argument_cases():
+            for lam in lams:
+                th = complex(sp.theta.eval_at(lam))
+                mirror = complex(sp.theta.eval_at(1 / np.conj(lam)))
+                assert abs(th * np.conj(mirror) - 1) <= 1e-14
+
+    def test_profiles_resolved_on_the_rule_grid(self):
+        regions = set()
+        for sp, lams in argument_cases():
+            for lam in lams:
+                res = canonical_factors(sp, lam)
+                regions.add(res.extras["region"])
+                # entry (0, 1) of X is the profile in every canonical
+                # branch: the difference quotient inside, the reflected
+                # kernel profile outside
+                prof = res.plus_inverse.values[0, 1]
+                assert band_energy(prof) <= TAU_ALIAS
+        assert regions == {"inside", "outside"}
