@@ -51,10 +51,13 @@ def _limit(opts, key):
     return CONTRACTS[key]
 
 
-def _exceeds(value, limit):
-    """True when value is above limit or is NaN, which compares False
-    with every limit and would otherwise pass."""
-    return not value <= limit
+def _check(violations, label, value, limit, where=""):
+    """Record "<label> <value> [at <where>] exceeds <limit>" when value is
+    above limit or is NaN, which compares False with every limit and
+    would otherwise pass."""
+    if not value <= limit:
+        at = "" if where == "" else f" at {where}"
+        violations.append(f"{label} {value:.3e}{at} exceeds {limit:.3e}")
 
 
 def _jsonable(obj):
@@ -91,15 +94,10 @@ def _task_validate(space, scn, opts):
     zero_by_norm = tnorm <= 2 * space.n * 1e-10
     shift = shift_quadrature_residual(space)
     violations = []
-    if _exceeds(assembly, lim):
-        violations.append(f"block assembly residual {assembly:.3e} exceeds "
-                          f"{lim:.3e}")
-    if _exceeds(cm, lim):
-        violations.append(f"conjugation symmetry residual {cm:.3e} exceeds "
-                          f"{lim:.3e}")
-    if shift is not None and _exceeds(shift, lim):
-        violations.append(f"shift quadrature residual {shift:.3e} exceeds "
-                          f"{lim:.3e}")
+    _check(violations, "block assembly residual", assembly, lim)
+    _check(violations, "conjugation symmetry residual", cm, lim)
+    if shift is not None:
+        _check(violations, "shift quadrature residual", shift, lim)
     if zero != zero_by_norm:
         violations.append("block zero test disagrees with the operator norm")
     return {
@@ -125,9 +123,7 @@ def _task_spectrum(space, scn, opts):
             "ker_dim": int(p.kernel_dim), "residual": float(p.residual),
             "region": p.region, "det_value": p.det_value,
         })
-        if _exceeds(p.residual, lim):
-            violations.append(f"eigenvector residual {p.residual:.3e} at "
-                              f"{p.lam} exceeds {lim:.3e}")
+        _check(violations, "eigenvector residual", p.residual, lim, p.lam)
     if not rep.cross_check.get("agrees", True):
         violations.append("matrix eigensolver disagrees with the root "
                           "finder")
@@ -153,12 +149,8 @@ def _task_kernel(space, scn, opts):
             rh = float(vec.meta["rh_residual"]) / max(vec.norm(), 1e-300)
             entries.append({"lambda": p.lam, "roundtrip": roundtrip,
                             "rh_residual": rh, "window": vec.n_ext})
-            if _exceeds(roundtrip, lim):
-                violations.append(f"kernel roundtrip {roundtrip:.3e} at "
-                                  f"{p.lam} exceeds {lim:.3e}")
-            if _exceeds(rh, lim):
-                violations.append(f"extension residual {rh:.3e} at "
-                                  f"{p.lam} exceeds {lim:.3e}")
+            _check(violations, "kernel roundtrip", roundtrip, lim, p.lam)
+            _check(violations, "extension residual", rh, lim, p.lam)
     out = {"ok": not violations, "violations": violations,
            "lifts": entries}
     if not rep.points:
@@ -179,17 +171,11 @@ def _task_factorize(space, scn, opts):
                           "region": res.extras["region"],
                           "warnings": list(res.warnings), **chk})
         for key in ("identity_residual", "reconstruction_residual"):
-            if _exceeds(chk[key], ilim):
-                violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
-                                  f"{ilim:.3e}")
+            _check(violations, key, chk[key], ilim, lam)
         for key in ("plus_tail", "minus_tail"):
-            if _exceeds(chk[key], tlim):
-                violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
-                                  f"{tlim:.3e}")
+            _check(violations, key, chk[key], tlim, lam)
         for key in ("det_minus_dev", "det_plus_inverse_dev"):
-            if _exceeds(chk[key], dlim):
-                violations.append(f"{key} {chk[key]:.3e} at {lam} exceeds "
-                                  f"{dlim:.3e}")
+            _check(violations, key, chk[key], dlim, lam)
     meromorphic = []
     for R in scn.rfactors:
         res = meromorphic_factors(space, R, G=opts.get("grid"))
@@ -197,12 +183,9 @@ def _task_factorize(space, scn, opts):
         _, _, split_res = hminus_split(space, R, G=opts.get("grid"))
         meromorphic.append({"r": repr(R), "kind": res.kind, "grid": res.grid,
                             "split_residual": split_res, **chk})
-        if _exceeds(chk["identity_residual"], ilim):
-            violations.append(f"meromorphic identity {chk['identity_residual']:.3e} "
-                              f"exceeds {ilim:.3e}")
-        if _exceeds(split_res, ilim):
-            violations.append(f"split residual {split_res:.3e} exceeds "
-                              f"{ilim:.3e}")
+        _check(violations, "meromorphic identity", chk["identity_residual"],
+               ilim)
+        _check(violations, "split residual", split_res, ilim)
     return {"ok": not violations, "violations": violations,
             "canonical": canonical, "meromorphic": meromorphic}
 
@@ -220,9 +203,7 @@ def _task_resolvent(space, scn, opts):
                        "cond_minus": diag["cond_minus"], "grid": diag["grid"],
                        "kind": diag["kind"], "region": diag["region"],
                        "warnings": diag["warnings"]})
-        if _exceeds(diag["residual"], lim):
-            violations.append(f"resolvent residual {diag['residual']:.3e} "
-                              f"at {lam} exceeds {lim:.3e}")
+        _check(violations, "resolvent residual", diag["residual"], lim, lam)
         violations.extend(f"resolvent warning at {lam}: {w}"
                           for w in diag["warnings"])
     return {"ok": not violations, "violations": violations,
@@ -236,8 +217,7 @@ def _task_norm(space, scn, opts):
     # np.ptp, unlike max() - min() on a tuple, carries a NaN through
     spread = float(np.ptp([rep.norm, rep.matrix_norm, tnorm]))
     violations = []
-    if _exceeds(spread, lim):
-        violations.append(f"norm spread {spread:.3e} exceeds {lim:.3e}")
+    _check(violations, "norm spread", spread, lim)
     return {"ok": not violations, "violations": violations,
             "hankel_norm": rep.norm, "block_matrix_norm": rep.matrix_norm,
             "compression_norm": tnorm, "spread": spread,

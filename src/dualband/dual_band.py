@@ -30,11 +30,15 @@ its front constant and the split (``_shift_closed_form``): it samples
 nothing.  ``shift_quadrature_residual`` measures it against the
 quadrature compression of z, built outside the space's store.
 
-A space keeps the dense matrices it is asked for: T_z, and the
-``dualband_matrix`` and ``block_w`` results of its latest symbol g, keyed
-by (kind, g, G as passed).  A call with a new g drops the previous g's
-matrices (building T_z does not), so the store stays bounded; it is
-freed with the space.  Kept entries are read-only.
+A space keeps the dense matrices it is asked for: T_z in its own
+attribute, and the ``dualband_matrix`` and ``block_w`` results of its
+latest symbol g, keyed by (kind, g, G as passed).  A call with a new g
+drops the previous g's matrices (T_z stays), so the store stays bounded;
+it is freed with the space.  Kept entries are read-only.
+
+Dual-band coordinates are laid out [first band | second band], n each;
+``synth_bands`` and ``project_bands`` are the one place that layout
+meets grid samples.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ TOL_ORTHO = 1e-10
 TOL_UNIMOD = 1e-10
 TOL_DEGEN = 1e-6
 TOL_SPLIT = 1e-10
-# key of T_z in a space's store of dense matrices
-_SHIFT = "shift"
 
 
 class DualBandSpace:
@@ -73,7 +75,8 @@ class DualBandSpace:
         self.n = basis.n
         self._band_samples = {}
         self._split_constants = None
-        self._dense = {}    # _SHIFT or (kind, g, G) -> OperatorMatrix
+        self._dense = {}    # (kind, g, G) -> OperatorMatrix
+        self._shift = None  # T_z, read-only once built
 
     # ------------------------------------------------------------ sampling
     def band_values(self, G):
@@ -83,6 +86,19 @@ class DualBandSpace:
                 "band samples need a realized space")
         return memo(self._band_samples, G, lambda z: np.vstack(
             [self.basis.values(G) * b.sample(G) for b in (self.phi, self.psi)]))
+
+    def synth_bands(self, coords, G):
+        """(2, G) samples of the two bands' K_theta functions whose
+        coordinates are [first band | second band]."""
+        n = self.n
+        return np.array([self.basis.synth_values(coords[:n], G),
+                         self.basis.synth_values(coords[n:], G)])
+
+    def project_bands(self, F):
+        """[first band | second band] coordinates of the K_theta
+        projections of the first two rows of a sample stack F."""
+        return np.concatenate([self.basis.project_values(F[0]),
+                               self.basis.project_values(F[1])])
 
     def split_values(self, G):
         """(conj(aplus), aminus) samples on the size-G grid."""
@@ -127,31 +143,27 @@ class DualBandSpace:
         closed form (``_shift_closed_form``).  It needs the split: a
         realized space without one raises MissingDecompositionError.
 
-        T_z stays in the space's store of dense matrices next to the
-        compressions of the latest g, and is freed with the space.  Its
-        build leaves the latest g's matrices in place.  The band basis is
-        orthonormal, so the compression of z - lam is exactly
-        shift_matrix() - lam * I at every lam.
+        T_z is kept on the space apart from the compressions of the
+        latest g, and is freed with the space.  Its build leaves the
+        latest g's matrices in place.  The band basis is orthonormal, so
+        the compression of z - lam is exactly shift_matrix() - lam * I at
+        every lam.
         """
-        T = self._dense.get(_SHIFT)
-        if T is None:
-            T = OperatorMatrix(_shift_closed_form(self), f"dualband:{self.n}",
-                               f"dualband:{self.n}")
-            T.entries.flags.writeable = False
-            self._dense[_SHIFT] = T
-        return T.entries
+        if self._shift is None:
+            self._shift = _shift_closed_form(self)
+            self._shift.flags.writeable = False
+        return self._shift
 
     def _kept(self, kind, g, G, build):
         """The kept matrix of (kind, g, G); build() on first call.  Its
         entries are made read-only, and the matrices of any other g are
-        dropped (T_z stays)."""
+        dropped."""
         key = (kind, g, G)
         got = self._dense.get(key)
         if got is None:
             got = build()
             got.entries.flags.writeable = False
-            for k in [k for k in self._dense
-                      if k != _SHIFT and k[1] is not g]:
+            for k in [k for k in self._dense if k[1] is not g]:
                 del self._dense[k]
             self._dense[key] = got
         return got
@@ -291,8 +303,7 @@ def _block_assembly(space, g, G):
     A = tto_matrix(basis, g, G=G).entries
     B12 = tto_matrix(basis, fw * g, G=G).entries
     B21 = tto_matrix(basis, bw * g, G=G).entries
-    W = np.block([[A, B12], [B21, A]])
-    return OperatorMatrix(W, f"ktheta2:{basis.n}", f"ktheta2:{basis.n}")
+    return OperatorMatrix(np.block([[A, B12], [B21, A]]))
 
 
 def dualband_matrix(space, g, G=None):
@@ -305,9 +316,7 @@ def dualband_matrix(space, g, G=None):
     identified column for column.
     """
     if space.mode != "realized":
-        return space._kept("dualband", g, G, lambda: OperatorMatrix(
-            block_w(space, g, G=G).entries, f"dualband:{space.n}",
-            f"dualband:{space.n}"))
+        return space._kept("dualband", g, G, lambda: block_w(space, g, G=G))
     return space._kept("dualband", g, G,
                        lambda: _band_quadrature(space, g, G))
 
@@ -315,8 +324,7 @@ def dualband_matrix(space, g, G=None):
 def _band_quadrature(space, g, G):
     G = G or space.default_grid([g], extra_span=g.span() or 0)
     B = space.band_values(G)
-    M = ((B * g.sample(G)) @ B.conj().T).T / G
-    return OperatorMatrix(M, f"dualband:{space.n}", f"dualband:{space.n}")
+    return OperatorMatrix(((B * g.sample(G)) @ B.conj().T).T / G)
 
 
 def _shift_closed_form(space):

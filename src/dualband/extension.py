@@ -17,6 +17,14 @@ of the block Toeplitz operator, project back, detect range membership,
 pass to adjoint kernels by the reflection x -> conj(z) * conj(x), and
 invert through it.
 
+Layout: a symbol is one row literal (``MatrixSymbol.rows``), with a
+number for each entry that is constant on the grid.  A vector of the
+extension is one (4, .) stack, grid samples or an analytic coefficient
+window, and every Fourier transform takes the whole stack in one call.
+Dual-band coordinates [first band | second band] pass to and from their
+(2, G) band samples only through ``DualBandSpace.synth_bands`` and
+``DualBandSpace.project_bands``.
+
 Grids: every four-by-four symbol here is gridded by the extension rule,
 ``DualBandSpace.extension_grid``: the quadrature grid of the space and g
 with eight more frequencies of span, raised to the power of two at or
@@ -82,13 +90,12 @@ def split_form_symbol(space, gv):
 
 def _extension_symbol(th, gv, off12, off21):
     tb = np.conj(th)
-    zero = np.zeros(th.size, dtype=complex)
-    return MatrixSymbol(np.array([
-        [tb, zero, zero, zero],
-        [zero, tb, zero, zero],
-        [gv, off12, th, zero],
-        [off21, gv, zero, th],
-    ]))
+    return MatrixSymbol.rows(th.size, [
+        [tb, 0, 0, 0],
+        [0, tb, 0, 0],
+        [gv, off12, th, 0],
+        [off21, gv, 0, th],
+    ])
 
 
 @dataclass
@@ -106,37 +113,29 @@ class ExtensionVector:
     def values_on(self, G):
         if G < 2 * (self.n_ext + 1):
             raise CutoffError("grid too small for the coefficient window")
-        out = np.zeros((4, G), dtype=complex)
-        for i in range(4):
-            c = np.zeros(G, dtype=complex)
-            c[:self.n_ext + 1] = self.comps[i]
-            out[i] = grid_ifft(c)
-        return out
+        c = np.zeros((4, G), dtype=complex)
+        c[:, :self.n_ext + 1] = self.comps
+        return grid_ifft(c)
 
     def norm(self):
         return float(np.linalg.norm(self.comps))
 
 
 def _window(values, n_ext):
-    """Analytic coefficients [0, n_ext] of grid samples."""
-    c = grid_fft(values)
-    return c[:n_ext + 1].copy()
+    """Analytic coefficients [0, n_ext] of a stack of grid samples."""
+    return grid_fft(values)[..., :n_ext + 1].copy()
 
 
 def rh_residual(Gsym, vec):
     """Per-component analytic energy of G F; zero on the kernel.
 
     Accepts an ExtensionVector or a raw (4, G) sample stack; returns the
-    largest component value of || P+ (G F) ||.
+    largest component value of || P+ (G F) ||, NaN when one is NaN.
     """
     F = vec.values_on(Gsym.grid) if isinstance(vec, ExtensionVector) else vec
-    Y = Gsym.matvec_values(F)
-    freqs = fft_freqs(Gsym.grid)
-    worst = 0.0
-    for i in range(4):
-        c = grid_fft(Y[i])
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(c[freqs >= 0]) ** 2))))
-    return worst
+    c = grid_fft(Gsym.matvec_values(F))[:, fft_freqs(Gsym.grid) >= 0]
+    # one sum per component: a sum along the stack's axis changes the bits
+    return float(np.max([np.sqrt(np.sum(np.abs(ci) ** 2)) for ci in c]))
 
 
 def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
@@ -147,19 +146,14 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     and fourth symbol rows applied to them.  The window doubles until its
     upper half carries no energy.
     """
-    coords = np.asarray(coords, dtype=complex)
-    n = space.n
     while True:
         Gq = G or space.extension_grid(g, n_ext)
         Gsym = build_G(space, g=g, lam=lam, G=Gq)
-        f1 = space.basis.synth_values(coords[:n], Gq)
-        f2 = space.basis.synth_values(coords[n:], Gq)
-        tb = Gsym.values[0, 0]
-        r3 = tb * (Gsym.values[2, 0] * f1 + Gsym.values[2, 1] * f2)
-        r4 = tb * (Gsym.values[3, 0] * f1 + Gsym.values[3, 1] * f2)
-        comps = np.vstack([
-            _window(f1, n_ext), _window(f2, n_ext),
-            -_window(r3, n_ext), -_window(r4, n_ext)])
+        f1, f2 = space.synth_bands(coords, Gq)
+        v = Gsym.values
+        r34 = v[0, 0] * (v[2:, 0] * f1 + v[2:, 1] * f2)
+        comps = _window(np.vstack([f1, f2, r34]), n_ext)
+        comps[2:] = -comps[2:]
         vec = ExtensionVector(comps, n_ext)
         if np.sqrt(vec.window_tail()) <= TOL_TAIL:
             break
@@ -182,13 +176,10 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
     Gsym = build_G(space, g=g, lam=lam, G=Gq)
     res = rh_residual(Gsym, vec)
     scale = max(vec.norm(), 1e-300)
-    if res > tol * scale:
+    if not res <= tol * scale:      # a NaN residual fails too
         raise NonKernelInputError(
             f"input has kernel residual {res:.3e} (scale {scale:.3e})")
-    F = vec.values_on(Gq)
-    v1 = space.basis.project_values(F[0])
-    v2 = space.basis.project_values(F[1])
-    return np.concatenate([v1, v2])
+    return space.project_bands(vec.values_on(Gq))
 
 
 # --------------------------------------------------------------------------
@@ -201,15 +192,11 @@ def finite_section_matrix(Gsym, n_ext):
     Component-major layout: row (i, m) -> i * (n_ext + 1) + m.
     """
     N = n_ext + 1
-    idx = np.subtract.outer(np.arange(N), np.arange(N))
-    out = np.zeros((4 * N, 4 * N), dtype=complex)
     if Gsym.grid < 2 * N:
         raise CutoffError("grid too coarse for the requested section")
-    for i in range(4):
-        for j in range(4):
-            c = Gsym.entry_coeffs(i, j)
-            out[i * N:(i + 1) * N, j * N:(j + 1) * N] = c[idx % Gsym.grid]
-    return out
+    idx = np.subtract.outer(np.arange(N), np.arange(N)) % Gsym.grid
+    blocks = grid_fft(Gsym.values)[:, :, idx]         # (4, 4, N, N)
+    return blocks.transpose(0, 2, 1, 3).reshape(4 * N, 4 * N)
 
 
 def u0_window(space, h_coords, Gsym, n_ext):
@@ -218,12 +205,9 @@ def u0_window(space, h_coords, Gsym, n_ext):
     Solving the extension operator against this lift puts the band
     components of the dual-band solution in the first two components.
     """
-    n = space.n
-    h1 = space.basis.synth_values(h_coords[:n], Gsym.grid)
-    h2 = space.basis.synth_values(h_coords[n:], Gsym.grid)
-    zero = np.zeros(n_ext + 1, dtype=complex)
-    return np.concatenate([
-        zero, zero, _window(h1, n_ext), _window(h2, n_ext)])
+    U = np.zeros((4, n_ext + 1), dtype=complex)
+    U[2:] = _window(space.synth_bands(h_coords, Gsym.grid), n_ext)
+    return U.ravel()
 
 
 def _section_solve(space, g, h, n_ext):
@@ -291,13 +275,12 @@ def adjoint_kernel_map(space, vec, g=None, lam=None, G=None):
     Fm = Gsym.matvec_values(F)
     zb = np.conj(grid_points(Gq))
     psi_plus = np.conj(Fm) * zb
-    X = PI2 @ psi_plus
+    X = grid_fft(PI2 @ psi_plus)
     # the reflected vector can decay slower than the input; grow its window
     # until the dropped amplitude is negligible
     n_ext = vec.n_ext
     while True:
-        comps = np.vstack([_window(X[i], n_ext) for i in range(4)])
-        out = ExtensionVector(comps, n_ext)
+        out = ExtensionVector(X[:, :n_ext + 1].copy(), n_ext)
         if np.sqrt(out.window_tail()) <= TOL_TAIL or 4 * (n_ext + 1) > Gq:
             break
         n_ext *= 2
@@ -377,9 +360,7 @@ def inverse_via_extension(space, g, h_coords, n_ext=128):
         warnings = diag["warnings"]
     else:
         vec, _ = _section_solve(space, g, h, n_ext)
-        F = vec.values_on(vec.meta["grid"])
-        coords = np.concatenate([space.basis.project_values(F[0]),
-                                 space.basis.project_values(F[1])])
+        coords = space.project_bands(vec.values_on(vec.meta["grid"]))
         cond = float(s[0] / s[-1])
         method, notes = "finite-section", "no factorization route for this symbol"
         warnings = []

@@ -61,7 +61,7 @@ import numpy as np
 from .errors import EigenvalueEncounteredError, NoAdcError
 from .extension import build_G, split_form_symbol
 from .matsym import MatrixSymbol, monomial_diag_values
-from .shift_spectra import delta, delta_tilde, shift_constants
+from .shift_spectra import _region, delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
                       difference_quotient, grid_points)
 
@@ -99,13 +99,12 @@ def build_g_tilde(space, R, G=None):
     th = space.theta.sample(G)
     tb = np.conj(th)
     rv = R.sample(G)
-    o = np.zeros(G, dtype=complex)
-    return MatrixSymbol(np.array([
-        [tb, o, o, o],
-        [o, tb, o, o],
-        [rv * (1 - tb), o, th, o],
-        [o, rv * (1 - tb), o, th],
-    ])), rv
+    return MatrixSymbol.rows(G, [
+        [tb, 0, 0, 0],
+        [0, tb, 0, 0],
+        [rv * (1 - tb), 0, th, 0],
+        [0, rv * (1 - tb), 0, th],
+    ]), rv
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def canonical_factors(space, lam, G=None):
     lam = complex(lam)
     G = G or space.extension_grid()
     c = shift_constants(space)
-    region = "outside" if abs(lam) > 1 + 1e-10 else "inside"
+    region = "outside" if _region(lam) == "outside" else "inside"
     warnings = []
 
     if region == "inside":
@@ -154,18 +153,16 @@ def canonical_factors(space, lam, G=None):
     tb = np.conj(th)
     zl = z - lam
     Apb, Am = space.split_values(G)
-    o = np.zeros(G, dtype=complex)
-    one = np.ones(G, dtype=complex)
 
     if region == "inside":
         prof = difference_quotient(space.theta, lam, G)   # analytic profile
-        lower2, lower4 = -one, -one                        # X rows 3, 4
-        m32, m44 = -thl * one, -thl * one
+        lower2, lower4 = -1, -1                            # X rows 3, 4
+        m32, m44 = -thl, -thl
         m34, m42 = Apb * (1 - thl * tb), Am * (1 - thl * tb)
     else:
         prof = (1 - tau * th) / zl
-        lower2, lower4 = tau * one, tau * one
-        m32, m44 = one, one
+        lower2, lower4 = tau, tau
+        m32, m44 = 1, 1
         m34, m42 = Apb * (tb - tau), Am * (tb - tau)
     profc = prof * tb
 
@@ -177,35 +174,35 @@ def canonical_factors(space, lam, G=None):
         g41 = (zl / c.disc) * (Am - c.beta
                                + c.kappa * c.tbar * Am * (tb - c.tbar))
         g43 = -(c.alpha / c.disc) * zl * (Am * tb - c.beta * c.tbar)
-        plus_inv = MatrixSymbol(np.array([
-            [th + c0, prof, -(c.alpha / c.disc) * one, o],
-            [-(c.beta / c.disc) * one, o, th + c0, prof],
-            [-zl, lower2, o, o],
-            [o, o, -zl, lower4],
-        ]))
-        minus = MatrixSymbol(np.array([
-            [1 + c0 * tb, profc, -(c.alpha / c.disc) * tb, o],
-            [-(c.beta / c.disc) * tb, o, 1 + c0 * tb, profc],
+        plus_inv = MatrixSymbol.rows(G, [
+            [th + c0, prof, -(c.alpha / c.disc), 0],
+            [-(c.beta / c.disc), 0, th + c0, prof],
+            [-zl, lower2, 0, 0],
+            [0, 0, -zl, lower4],
+        ])
+        minus = MatrixSymbol.rows(G, [
+            [1 + c0 * tb, profc, -(c.alpha / c.disc) * tb, 0],
+            [-(c.beta / c.disc) * tb, 0, 1 + c0 * tb, profc],
             [g31, m32, g33, m34],
             [g41, m42, g43, m44],
-        ]))
+        ])
         kind = "canonical-generic"
     else:
         a = c.alpha
         tbar = c.tbar
-        plus_inv = MatrixSymbol(np.array([
-            [-a * (1 - th * tbar), prof, -a * tbar * one, o],
-            [th, o, one, prof],
-            [-tbar * a * zl, lower2, o, o],
-            [-zl, o, o, lower4],
-        ]))
-        minus = MatrixSymbol(np.array([
-            [-a * (tb - tbar), profc, -a * tbar * tb, o],
-            [one, o, tb, profc],
+        plus_inv = MatrixSymbol.rows(G, [
+            [-a * (1 - th * tbar), prof, -a * tbar, 0],
+            [th, 0, 1, prof],
+            [-tbar * a * zl, lower2, 0, 0],
+            [-zl, 0, 0, lower4],
+        ])
+        minus = MatrixSymbol.rows(G, [
+            [-a * (tb - tbar), profc, -a * tbar * tb, 0],
+            [1, 0, tb, profc],
             [(Apb - a) * zl, m32, (Apb * tb - a * tbar) * zl, m34],
             [-a * Am * (tb - tbar) * zl, m42,
              zl * (1 - a * tbar * Am * tb), m44],
-        ]))
+        ])
         kind = "canonical-degenerate"
 
     symbol = build_G(space, lam=lam, G=G)
@@ -232,20 +229,18 @@ def meromorphic_factors(space, R, G=None):
     th = space.theta.sample(G)
     tb = np.conj(th)
     Apb, Am = space.split_values(G)
-    o = np.zeros(G, dtype=complex)
-    one = np.ones(G, dtype=complex)
-    plus_inv = MatrixSymbol(np.array([
-        [one, o, th, o],
-        [o, one, o, th],
-        [o, o, -rv, o],
-        [o, o, o, -rv],
-    ]))
-    minus = MatrixSymbol(np.array([
-        [tb, o, one, o],
-        [o, tb, o, one],
-        [rv, rv * Apb * tb, o, Apb * rv],
-        [rv * Am * tb, rv, Am * rv, o],
-    ]))
+    plus_inv = MatrixSymbol.rows(G, [
+        [1, 0, th, 0],
+        [0, 1, 0, th],
+        [0, 0, -rv, 0],
+        [0, 0, 0, -rv],
+    ])
+    minus = MatrixSymbol.rows(G, [
+        [tb, 0, 1, 0],
+        [0, tb, 0, 1],
+        [rv, rv * Apb * tb, 0, Apb * rv],
+        [rv * Am * tb, rv, Am * rv, 0],
+    ])
     deg = _poly_degree(R)
     res = FactorizationResult("meromorphic", None, G, symbol, minus,
                               plus_inv, (0, 0, 0, 0), None)
@@ -272,14 +267,12 @@ def hminus_split(space, R, G=None):
     G = G or space.extension_grid(R)
     symbol, rv = build_g_r(space, R, G=G)
     Apb, Am = space.split_values(G)
-    o = np.zeros(G, dtype=complex)
-    one = np.ones(G, dtype=complex)
-    H = MatrixSymbol(np.array([
-        [one, o, o, o],
-        [o, one, o, o],
-        [rv, rv * Apb, one, o],
-        [rv * Am, rv, o, one],
-    ]))
+    H = MatrixSymbol.rows(G, [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [rv, rv * Apb, 1, 0],
+        [rv * Am, rv, 0, 1],
+    ])
     tilde, _ = build_g_tilde(space, R, G=G)
     residual = symbol.max_abs_diff(H.matmul(tilde))
     return H, tilde, residual
@@ -299,9 +292,9 @@ def l2_factors(space, lam, G=None):
     takes over with indices (-1, -1, 1, 1) and determinant theta(lam)^2.
     """
     lam = complex(lam)
-    if abs(lam) > 1 + 1e-10:
+    if _region(lam) == "outside":
         raise ValueError("the L2 factorization applies inside the closed disc")
-    if abs(abs(lam) - 1.0) <= 1e-10 and not space.theta.has_adc_at(lam):
+    if _region(lam) == "boundary" and not space.theta.has_adc_at(lam):
         raise NoAdcError(
             f"no angular derivative at {lam}: the difference quotient "
             "does not belong to the model space")
@@ -315,8 +308,6 @@ def l2_factors(space, lam, G=None):
     q = 1.0 / (1.0 - tbar)
     dq = difference_quotient(space.theta, lam, G)
     dqc = dq * tb
-    o = np.zeros(G, dtype=complex)
-    one = np.ones(G, dtype=complex)
     warnings = []
 
     gap = abs(thl + q)
@@ -325,18 +316,18 @@ def l2_factors(space, lam, G=None):
         m13 = np.conj(z)
         m31 = z * (thl * tb - 1 - thl)
         m33 = -zl * np.conj(z)
-        plus_inv = MatrixSymbol(np.array([
-            [dq, o, th, o],
-            [o, dq, o, th],
-            [-one, o, -zl, o],
-            [o, -one, o, -zl],
-        ]))
-        minus = MatrixSymbol(np.array([
-            [m11, o, m13, o],
-            [o, m11, o, m13],
-            [m31, o, m33, o],
-            [o, m31, o, m33],
-        ]))
+        plus_inv = MatrixSymbol.rows(G, [
+            [dq, 0, th, 0],
+            [0, dq, 0, th],
+            [-1, 0, -zl, 0],
+            [0, -1, 0, -zl],
+        ])
+        minus = MatrixSymbol.rows(G, [
+            [m11, 0, m13, 0],
+            [0, m11, 0, m13],
+            [m31, 0, m33, 0],
+            [0, m31, 0, m33],
+        ])
         powers = (-1, -1, 1, 1)
         det_expected = thl ** 2
         kind = "l2-exceptional"
@@ -351,18 +342,18 @@ def l2_factors(space, lam, G=None):
                 "the generic factors are nearly singular")
         m31 = zl * (q * (1 - tb) - 1)
         m32 = -1 + thl * (tb - 1)
-        plus_inv = MatrixSymbol(np.array([
-            [q + th, dq, o, o],
-            [o, o, q + th, dq],
-            [-zl, -one, o, o],
-            [o, o, -zl, -one],
-        ]))
-        minus = MatrixSymbol(np.array([
-            [q * tb + 1, dqc, o, o],
-            [o, o, q * tb + 1, dqc],
-            [m31, m32, o, o],
-            [o, o, m31, m32],
-        ]))
+        plus_inv = MatrixSymbol.rows(G, [
+            [q + th, dq, 0, 0],
+            [0, 0, q + th, dq],
+            [-zl, -1, 0, 0],
+            [0, 0, -zl, -1],
+        ])
+        minus = MatrixSymbol.rows(G, [
+            [q * tb + 1, dqc, 0, 0],
+            [0, 0, q * tb + 1, dqc],
+            [m31, m32, 0, 0],
+            [0, 0, m31, m32],
+        ])
         powers = (0, 0, 0, 0)
         det_expected = -(q + thl) ** 2
         kind = "l2-generic"
@@ -432,12 +423,9 @@ def resolvent_apply(space, lam, h_coords, G=None):
     """
     res = canonical_factors(space, lam, G=G)
     Gq = res.grid
-    n = space.n
     h = np.asarray(h_coords, dtype=complex)
-    h1 = space.basis.synth_values(h[:n], Gq)
-    h2 = space.basis.synth_values(h[n:], Gq)
-    o = np.zeros(Gq, dtype=complex)
-    H = np.vstack([o, o, h1, h2])
+    H = np.zeros((4, Gq), dtype=complex)
+    H[2:] = space.synth_bands(h, Gq)
 
     Y, cond = res.minus.solve_values(H)
     warnings = list(res.warnings)
@@ -445,10 +433,8 @@ def resolvent_apply(space, lam, h_coords, G=None):
         warnings.append(
             f"minus factor condition bound {cond:.3e} times eps exceeds "
             f"{COND_WARN:.0e}; lam is near the point spectrum")
-    Yp = np.vstack([analytic_project_values(Y[i]) for i in range(4)])
-    F = res.plus_inverse.matvec_values(Yp)
-    coords = np.concatenate([space.basis.project_values(F[0]),
-                             space.basis.project_values(F[1])])
+    F = res.plus_inverse.matvec_values(analytic_project_values(Y))
+    coords = space.project_bands(F)
 
     hn = max(float(np.linalg.norm(h)), 1e-300)
     residual = float(np.linalg.norm(

@@ -4,6 +4,11 @@ Factor verification, pointwise inversion and Riesz projections all work
 on sampled entries; per-entry Fourier data comes from the grid FFT, so a
 MatrixSymbol is only as band-limited as its construction grid allows.
 
+Symbols are written as row literals (``MatrixSymbol.rows``): each entry
+is a length-G sample array or a number, and a number is that constant on
+the whole grid.  A number 0 is therefore an entry that is exactly zero
+on the grid, which ``matmul`` skips as a structural zero.
+
 Pointwise solves and inverses take one LAPACK ``inv`` of the (G, r, c)
 sample stack and guard it with the condition bound
 
@@ -49,6 +54,16 @@ class MatrixSymbol:
         self.values = values
         self.shape = values.shape[:2]
         self.grid = values.shape[2]
+
+    @classmethod
+    def rows(cls, G, rows):
+        """Symbol from a literal of rows on the size-G grid; each entry is
+        a length-G sample array or a number, constant on the grid."""
+        values = np.empty((len(rows), len(rows[0]), G), dtype=complex)
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                values[i, j] = entry
+        return cls(values)
 
     # ------------------------------------------------------------- algebra
     def matmul(self, other):
@@ -142,10 +157,6 @@ class MatrixSymbol:
         c = [v[2, p] * v[3, q] - v[2, q] * v[3, p] for p, q in pairs]
         return (s[0] * c[5] - s[1] * c[4] + s[2] * c[3]
                 + s[3] * c[2] - s[4] * c[1] + s[5] * c[0])
-
-    def entry_coeffs(self, i, j):
-        """FFT-layout Fourier coefficients of entry (i, j)."""
-        return grid_fft(self.values[i, j])
 
     def max_tail(self, band):
         """Largest energy of one entry over the frequency mask band(freqs)."""

@@ -25,11 +25,9 @@ from .symbols import InnerFunction, choose_grid, memo
 
 @dataclass
 class OperatorMatrix:
-    """A dense matrix tagged with the bases its axes refer to."""
+    """A dense matrix in the coordinates of an orthonormal basis."""
 
     entries: np.ndarray
-    row_basis: str
-    col_basis: str
 
 
 class ModelSpaceBasis:
@@ -97,8 +95,7 @@ def tto_matrix(basis, g, G=None):
     """
     G = G or basis.default_grid([g])
     V = basis.values(G)
-    M = ((V * g.sample(G)) @ V.conj().T).T / G
-    return OperatorMatrix(M, f"model:{basis.n}", f"model:{basis.n}")
+    return OperatorMatrix(((V * g.sample(G)) @ V.conj().T).T / G)
 
 
 def ctheta_matrix(basis, G=None):

@@ -119,14 +119,11 @@ def _region(lam):
 
 
 def _nullspace_2x2(m, tol=TOL_NULL):
-    """(nullity, basis rows) of a 2x2 complex matrix: an int and a (k, 2)
-    array.  For a (p, 2, 2) stack, one SVD call gives an int array of
-    nullities and a list of p such arrays."""
+    """(nullities, basis rows) of a (p, 2, 2) stack of complex matrices,
+    by one SVD call: an int array and a list of p (k, 2) arrays."""
     _, s, Vh = np.linalg.svd(m)
-    scale = np.maximum(s[..., 0], 1.0)
-    nullity = np.sum(s <= tol * scale[..., None], axis=-1)
-    if m.ndim == 2:
-        return int(nullity), np.conj(Vh[2 - nullity:, :])
+    scale = np.maximum(s[:, 0], 1.0)
+    nullity = np.sum(s <= tol * scale[:, None], axis=-1)
     return nullity, [np.conj(v[2 - k:, :]) for k, v in zip(nullity, Vh)]
 
 

@@ -90,8 +90,9 @@ def grid_fft(values):
 
 
 def grid_ifft(coeffs):
+    """Inverse of ``grid_fft``, along the last axis."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    return np.fft.ifft(coeffs) * coeffs.size
+    return np.fft.ifft(coeffs) * coeffs.shape[-1]
 
 
 def memo(store, G, evaluate):
@@ -111,9 +112,10 @@ def fft_freqs(G):
 
 
 def analytic_project_values(values):
-    """Pointwise projection onto nonnegative frequencies (Riesz P+)."""
+    """Pointwise projection onto nonnegative frequencies (Riesz P+),
+    along the last axis."""
     c = grid_fft(values)
-    c[fft_freqs(values.size) < 0] = 0.0
+    c[..., fft_freqs(c.shape[-1]) < 0] = 0.0
     return grid_ifft(c)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualband.cli import golden_bytes, main
+from dualband.cli import _check, golden_bytes, main
 
 SCN_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                        "scenarios"))
@@ -183,6 +183,18 @@ class TestRegold:
 
 class TestNonFiniteResidual:
     """A NaN residual fails its contract: NaN > limit is False."""
+
+    @pytest.mark.parametrize("value, where, want", [
+        (2e-3, 0.5 + 0j, ["kernel roundtrip 2.000e-03 at (0.5+0j) exceeds "
+                          "1.000e-08"]),
+        (np.nan, 0j, ["kernel roundtrip nan at 0j exceeds 1.000e-08"]),
+        (np.nan, "", ["kernel roundtrip nan exceeds 1.000e-08"]),
+        (1e-8, 0.5, []),
+    ])
+    def test_check_formats_each_violation(self, value, where, want):
+        violations = []
+        _check(violations, "kernel roundtrip", value, 1e-8, where)
+        assert violations == want
 
     def test_nan_minus_factor_fails_factorize(self, tmp_path, monkeypatch):
         import dualband.cli as cli

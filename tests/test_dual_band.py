@@ -298,6 +298,24 @@ class TestProjection:
         assert again == pytest.approx(once, abs=1e-12)
 
 
+class TestBandCoordinates:
+    """[first band | second band] coordinates and their (2, G) samples."""
+
+    def test_synth_bands_is_one_synthesis_per_band(self):
+        sp = twist_space()
+        c = np.array([0.5, -1j, 2.0, 0.25 + 1j])
+        got = sp.synth_bands(c, 64)
+        assert got.shape == (2, 64)
+        assert np.array_equal(got[0], sp.basis.synth_values(c[:2], 64))
+        assert np.array_equal(got[1], sp.basis.synth_values(c[2:], 64))
+
+    def test_project_bands_inverts_synth_bands(self):
+        sp = twist_space()
+        c = np.array([0.5, -1j, 2.0, 0.25 + 1j])
+        F = np.vstack([sp.synth_bands(c, 64), np.ones((2, 64))])
+        assert sp.project_bands(F) == pytest.approx(c, abs=1e-14)
+
+
 class TestBlockIdentity:
     def test_nilpotent_shift_action(self):
         T = dualband_matrix(nilpotent_space(), Z(1)).entries

@@ -7,7 +7,9 @@ from dualband import (InnerFunction, LaurentSymbol, NonKernelInputError,
                       SingularOperatorError, adjoint_kernel_map, build_G,
                       build_dualband, dualband_matrix, inverse_via_extension,
                       kernel_lift, kernel_project, point_spectrum, range_test)
-from dualband.extension import adjoint_symbol_identity_residual
+from dualband.extension import (_window, adjoint_symbol_identity_residual,
+                                finite_section_matrix, rh_residual)
+from dualband.symbols import fft_freqs, grid_fft, grid_ifft
 
 Z = LaurentSymbol.monomial
 
@@ -123,6 +125,68 @@ class TestKernelLift:
                 assert vec.meta["rh_residual"] < 1e-8 * vec.norm()
                 back = kernel_project(sp, vec, lam=p.lam)
                 assert back == pytest.approx(coords, abs=1e-8)
+
+
+def same_bits(x, y):
+    """Equal arrays down to the sign of every zero."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint8),
+                                                  y.view(np.uint8))
+
+
+class TestStacks:
+    """The four components of an extension vector go through one Fourier
+    transform; each result matches a per-component reference bit for
+    bit."""
+
+    def lifted(self):
+        sp = twist_space()
+        p = point_spectrum(sp, cross_check=False).points[0]
+        vec = kernel_lift(sp, p.coords[0], lam=p.lam)
+        return vec, build_G(sp, lam=p.lam, G=vec.meta["grid"])
+
+    def test_values_on(self):
+        vec, Gsym = self.lifted()
+        G = Gsym.grid
+        want = [grid_ifft(np.concatenate([c, np.zeros(G - c.size)]))
+                for c in vec.comps]
+        assert same_bits(vec.values_on(G), np.array(want))
+
+    def test_window(self):
+        vec, Gsym = self.lifted()
+        F = vec.values_on(Gsym.grid)
+        want = [grid_fft(f)[:vec.n_ext + 1] for f in F]
+        assert same_bits(_window(F, vec.n_ext), np.array(want))
+
+    def test_rh_residual(self):
+        vec, Gsym = self.lifted()
+        Y = Gsym.matvec_values(vec.values_on(Gsym.grid))
+        analytic = fft_freqs(Gsym.grid) >= 0
+        want = max(float(np.sqrt(np.sum(np.abs(grid_fft(y)[analytic]) ** 2)))
+                   for y in Y)
+        assert same_bits(rh_residual(Gsym, vec), want)
+
+    def test_finite_section_matrix(self):
+        sp, g, _ = twist32_general()
+        n_ext = 24
+        Gsym = build_G(sp, g=g, G=sp.extension_grid(g, n_ext))
+        N = n_ext + 1
+        idx = np.subtract.outer(np.arange(N), np.arange(N)) % Gsym.grid
+        want = np.zeros((4 * N, 4 * N), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                want[i * N:(i + 1) * N, j * N:(j + 1) * N] = \
+                    grid_fft(Gsym.values[i, j])[idx]
+        assert same_bits(finite_section_matrix(Gsym, n_ext), want)
+
+    def test_nan_vector_is_not_a_kernel_vector(self):
+        sp = nilpotent_space()
+        vec = kernel_lift(sp, [0, 1, 0, 0], g=Z(1))
+        vec.comps[2, 3] = np.nan
+        Gsym = build_G(sp, g=Z(1), G=vec.meta["grid"])
+        assert np.isnan(rh_residual(Gsym, vec))
+        with pytest.raises(NonKernelInputError):
+            kernel_project(sp, vec, g=Z(1))
 
 
 class TestRange:

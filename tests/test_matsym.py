@@ -10,7 +10,7 @@ from dualband import SingularOperatorError
 from dualband.factorization import (canonical_factors, hminus_split,
                                     meromorphic_factors, resolvent_apply,
                                     verify_factorization)
-from dualband.matsym import MatrixSymbol
+from dualband.matsym import MatrixSymbol, _live_entries
 from dualband.scenario import build_space, parse_scenario
 from dualband.symbols import fft_freqs, grid_fft
 
@@ -201,6 +201,49 @@ class TestMatmul:
             got = MatrixSymbol(a).matmul(MatrixSymbol(b)).values
             want = stacked_matmul(a, b)
         assert not np.all(np.isfinite(want))
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+def same_bits(x, y):
+    """Equal arrays down to the sign of every zero."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint8),
+                                                  y.view(np.uint8))
+
+
+class TestRows:
+    """A row literal: sample arrays, and numbers constant on the grid."""
+
+    def test_equals_the_stacked_array_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        G = 32
+        a = rng.standard_normal(G) + 1j * rng.standard_normal(G)
+        r = rng.standard_normal(G)          # a real row becomes complex
+        got = MatrixSymbol.rows(G, [[a, 0, 2.5], [-1j, r, a * r]]).values
+        want = np.array([[a, np.zeros(G, dtype=complex), np.full(G, 2.5 + 0j)],
+                         [np.full(G, -1j), r + 0j, a * r]])
+        assert got.dtype == complex
+        assert same_bits(got, want)
+
+    def test_number_zero_is_a_structural_zero(self):
+        rng = np.random.default_rng(11)
+        a, b = (np.moveaxis(random_stack(rng), 0, 2) for _ in range(2))
+        sym = MatrixSymbol.rows(64, [[a[i, j] if (i + j) % 3 else 0
+                                      for j in range(4)] for i in range(4)])
+        assert _live_entries(sym.values) == [[bool((i + j) % 3)
+                                              for j in range(4)]
+                                             for i in range(4)]
+        got = sym.matmul(MatrixSymbol(b)).values
+        assert np.array_equal(got, unskipped_matmul(sym.values, b))
+
+    def test_number_zero_still_meets_nan(self):
+        a, b = sparse_pair(12, G=32)
+        b[0, 1, 4] = np.nan         # row 0 of b faces the zero column 0
+        sym = MatrixSymbol.rows(32, [[0, *a[i, 1:]] for i in range(4)])
+        with np.errstate(invalid="ignore"):
+            got = sym.matmul(MatrixSymbol(b)).values
+            want = stacked_matmul(sym.values, b)
+        assert np.isnan(want[:, 1, 4]).all()
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
 
 

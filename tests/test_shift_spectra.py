@@ -140,7 +140,7 @@ def quadrature_rows(sp, lam):
         m = ss._pair_matrix_inside(c, complex(sp.theta.eval_at(lam)))
         profile = difference_quotient(sp.theta, lam, G)
     p = sp.basis.project_values(profile)
-    _, rows = ss._nullspace_2x2(m)
+    _, (rows,) = ss._nullspace_2x2(m[None])
     return np.array([np.concatenate([c1 * p, c2 * p]) for c1, c2 in rows])
 
 
