@@ -109,7 +109,8 @@ class AnalyticSpectrumReport:
     multiplicities: dict     # value -> algebraic multiplicity in the matrix
     triangle: str            # "lower" or "upper"
     dense_eigs: list
-    match_gap: float
+    match_gap: float         # largest distance of a cluster mean
+    scatter: float           # largest distance of a single dense eigenvalue
 
 
 def _triangle_side(space, tol):
@@ -133,8 +134,14 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
     With g analytic and conj(phi) psi (or its conjugate) in
     theta H^infinity, the block matrix is triangular with two equal
     diagonal blocks, so the spectrum is g evaluated at the zeros of
-    theta, every point twice.  The dense eigenvalues are matched
-    against the closed form and the largest match distance reported.
+    theta, every point twice.  Each dense eigenvalue joins the cluster
+    of its nearest closed-form value, and ``match_gap`` is the largest
+    distance of a cluster's mean from its value, infinite when a
+    cluster's size is not that value's multiplicity.  A repeated
+    eigenvalue of a defective matrix comes back from a dense solver
+    smeared over a radius of about sqrt(eps); the cluster mean is
+    accurate to machine order.  ``scatter`` keeps the largest distance
+    of a single dense eigenvalue.
     """
     side, _, _ = _triangle_side(space, tol)
     g_tail = _analytic_tail(g)
@@ -157,8 +164,16 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
     W = dualband_matrix(space, g).entries
     dense = sorted((complex(e) for e in np.linalg.eigvals(W)),
                    key=spectral_key)
-    gap = max(min(abs(e - v) for v in values) for e in dense)
-    return AnalyticSpectrumReport(values, mult, side, dense, float(gap))
+    clusters = {v: [] for v in values}
+    for e in dense:
+        clusters[min(values, key=lambda v: abs(e - v))].append(e)
+    if any(len(es) != mult[v] for v, es in clusters.items()):
+        gap = np.inf
+    else:
+        gap = max(abs(np.mean(es) - v) for v, es in clusters.items())
+    scatter = max(min(abs(e - v) for v in values) for e in dense)
+    return AnalyticSpectrumReport(values, mult, side, dense, float(gap),
+                                  float(scatter))
 
 
 def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):

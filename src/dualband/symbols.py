@@ -22,10 +22,13 @@ Two grid rules pick ``G`` when the caller does not:
 
 * The dense quadrature rule, ``choose_grid`` here, read through
   ``ModelSpaceBasis.default_grid`` and ``DualBandSpace.default_grid``:
-  exact Laurent operands add their spans, the others refine from
-  ``GRID_START`` and take one extra doubling.  A grid above ``GRID_CAP``
-  raises ``CoefficientError``.  It serves the compressions on K_theta
-  and on the dual-band space.
+  exact Laurent operands add their spans; a rational refines from its
+  own first grid, the power of two at or above eight times its
+  |shift| + num.size + den.size, and the result takes one extra
+  doubling.  The trapezoidal rule converges geometrically for a
+  rational, at a rate its poles set, so its own data fix where to
+  start.  A grid above ``GRID_CAP`` raises ``CoefficientError``.  It
+  serves the compressions on K_theta and on the dual-band space.
 * The extension rule, ``DualBandSpace.extension_grid``: the quadrature
   grid of the space and g (for the R family, g is R) with eight more
   frequencies of span, raised to the power of two at or above four
@@ -133,11 +136,21 @@ def _check_den(den, root_check=True):
     if lead:
         raise PoleError("denominator vanishes at z = 0")
     if root_check and den.size > 1:
-        if np.count_nonzero(den) == 2:
-            # d0 + dm z^m: every root has modulus |d0 / dm|^(1/m)
-            moduli = abs(den[0] / den[-1]) ** (1.0 / (den.size - 1))
-        else:
-            moduli = np.abs(np.roots(den[::-1]))
+        # a tiny leading coefficient overflows the companion matrix; that
+        # is reported below as a CoefficientError, not as a float warning
+        with np.errstate(all="ignore"):
+            if np.count_nonzero(den) == 2:
+                # d0 + dm z^m: every root has modulus |d0 / dm|^(1/m)
+                moduli = abs(den[0] / den[-1]) ** (1.0 / (den.size - 1))
+            else:
+                try:
+                    moduli = np.abs(np.roots(den[::-1]))
+                except np.linalg.LinAlgError:
+                    moduli = np.array([np.nan])
+        if not np.all(np.isfinite(moduli)):
+            raise CoefficientError(
+                f"the roots of a degree-{den.size - 1} denominator cannot "
+                "be located in double precision")
         if np.any(np.abs(moduli - 1.0) <= TAU_ROOT):
             raise PoleError("denominator has a root on the unit circle")
     return den
@@ -153,7 +166,9 @@ class LaurentSymbol:
     constructor) root-checks its denominator: no root may lie within
     TAU_ROOT of the circle, else PoleError.  A binomial d0 + dm z^m has
     every root at modulus |d0 / dm|^(1/m); any other denominator goes
-    through ``np.roots``.  Products, sums and circle conjugates
+    through ``np.roots``.  A denominator whose roots double precision
+    cannot locate (a tiny top coefficient overflows the companion matrix)
+    raises CoefficientError.  Products, sums and circle conjugates
     (``__mul__``, ``__add__``, ``conj``) skip that check (``_derived``):
     their denominator is a product of checked denominators, or a checked
     one reflected, whose roots are the roots of the factors, or the
@@ -264,7 +279,11 @@ class LaurentSymbol:
         a too-small G aliases, as plain FFT sampling does.  For the rational
         kind G=None invokes the refinement policy (start at GRID_START,
         double until the energy in the top and bottom eighth of the index
-        range drops below TAU_ALIAS, cap at GRID_CAP).
+        range drops below TAU_ALIAS, cap at GRID_CAP).  It keeps
+        GRID_START rather than ``choose_grid``'s degree-set start: no
+        guard doubling follows here, and at the bare refined grid the
+        coefficients near +-G/2 alias at about 1e-8, which a caller
+        thresholding at 1e-15 (``coeff_dict``) would read as terms.
         """
         if self.kind == "laurent" and G is None:
             span = self.span()
@@ -407,9 +426,10 @@ def choose_grid(objs, extra_span=0):
     """Common quadrature grid for products of the given symbols.
 
     Exact Laurent operands contribute their summed spans (products convolve
-    supports); other kinds are refined individually and the result receives
-    one extra doubling as a product-aliasing guard.  Raises CoefficientError
-    when the grid this needs exceeds GRID_CAP.
+    supports); a rational is refined individually from a first grid set by
+    its own degree and shift, and the result receives one extra doubling
+    as a product-aliasing guard.  Raises CoefficientError when the grid
+    this needs exceeds GRID_CAP.
     """
     span_total = extra_span
     inexact = []
@@ -420,7 +440,11 @@ def choose_grid(objs, extra_span=0):
             inexact.append(o)
     G = max(64, _next_pow2(2 * span_total + 8))
     for o in inexact:
-        Go, _ = refine_grid(o)
+        # the outer eighth that refine_grid tests then lies at three times
+        # the extent of num and den or beyond: neither folds into it, and
+        # it holds only the rational's own geometric tail
+        start = _next_pow2(8 * (abs(o.shift) + o.num.size + o.den.size))
+        Go, _ = refine_grid(o, start=start)
         G = max(G, 2 * Go)
     if G > GRID_CAP:
         raise CoefficientError(

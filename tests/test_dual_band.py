@@ -24,10 +24,14 @@ def nilpotent_space():
     return build_dualband(InnerFunction.monomial(2), phi=Z(0), psi=Z(3))
 
 
-def twist_space():
-    psi = Z(2).conj() * LaurentSymbol.rational([-0.5, 0, 0, 0, 1],
-                                               [1, 0, 0, 0, -0.5])
-    return build_dualband(InnerFunction.monomial(2), phi=Z(0), psi=psi)
+def twist_space(n=2, a=0.5):
+    """psi = conj(z^n) (z^2n - a) / (1 - a z^2n) over theta = z^n."""
+    num = np.zeros(2 * n + 1)
+    den = np.zeros(2 * n + 1)
+    num[0], num[2 * n] = -a, 1.0
+    den[0], den[2 * n] = 1.0, -a
+    psi = Z(n).conj() * LaurentSymbol.rational(num, den)
+    return build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi)
 
 
 class TestConstruction:
@@ -100,10 +104,23 @@ class TestExtensionGrid:
                 G == sp.default_grid([Z(1)], extra_span=8)
 
     def test_no_floor(self):
-        # the quadrature rule alone sizes the shift family's grid
+        # the quadrature rule alone sizes the shift family's grid, and a
+        # rational band refines from a start set by its own degree
         assert nilpotent_space().extension_grid() == 64
-        assert twist_space().extension_grid() == 2048
-        assert free_space().extension_grid() == 2048
+        assert twist_space().extension_grid() == 512
+        assert free_space().extension_grid() == 128
+
+    @pytest.mark.parametrize("n, a, G", [
+        (16, 0.3, 2048), (16, 0.5, 4096), (32, 0.3, 4096),
+        (32, 0.5, 8192), (64, 0.3, 8192), (64, 0.5, 16384),
+    ])
+    def test_twist_family_grids(self, n, a, G):
+        # psi's terms sit only at frequencies -n + 2nk, so a start grid
+        # that folded them together could pass the band test early; the
+        # slow decay at larger a needs grids past the start
+        sp = twist_space(n, a)
+        assert sp.default_grid() == G
+        assert sp.extension_grid() == G
 
 
 class TestKeptPerSpace:

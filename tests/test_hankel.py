@@ -7,6 +7,7 @@ from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
                       SingularOperatorError, analytic_spectrum, block_w,
                       build_dualband, dualband_matrix, essential_spectrum,
                       hankel_norm, triangular_w_inverse)
+from dualband.model_space import OperatorMatrix
 from dualband.shift_spectra import spectral_key
 
 Z = LaurentSymbol.monomial
@@ -139,8 +140,9 @@ class TestAnalyticSpectrum:
         # sqrt(eps) Jordan noise; their mean recovers the true point
         rep = analytic_spectrum(nilpotent_space(), Z(3))
         assert rep.values == [0.0]
-        assert rep.match_gap < 5e-8
+        assert rep.scatter < 5e-8
         assert abs(np.mean(rep.dense_eigs)) < 1e-12
+        assert rep.match_gap == abs(np.mean(rep.dense_eigs))
 
     def test_blaschke_two_points(self):
         rep = analytic_spectrum(blaschke_space(), Z(1))
@@ -159,6 +161,30 @@ class TestAnalyticSpectrum:
             pair = [e for e in rep.dense_eigs if abs(e - v) < 1e-6]
             assert len(pair) == 2
             assert np.mean(pair) == pytest.approx(v, abs=1e-10)
+
+    @pytest.mark.parametrize("G", [64, 128, 256, 512, 1024, 2048, 4096,
+                                   8192])
+    def test_cluster_mean_on_every_grid(self, monkeypatch, G):
+        # the double eigenvalue's dense pair scatters by up to ~6e-8
+        # whatever the grid; its mean sits within roundoff
+        sp = blaschke_space()
+        monkeypatch.setattr(sp, "default_grid", lambda *a, **k: G)
+        g = LaurentSymbol.from_coeffs({0: 1.0, 1: 2.0, 2: -1.0})
+        rep = analytic_spectrum(sp, g)
+        assert rep.match_gap < 1e-12
+        assert rep.scatter < 1e-7
+
+    def test_cluster_size_must_match_multiplicity(self, monkeypatch):
+        # the formula claims the point 1 twice; a matrix whose four
+        # eigenvalues all sit near 1.75 breaks the multiplicity count
+        sp = blaschke_space()
+        g = LaurentSymbol.from_coeffs({0: 1.0, 1: 2.0, 2: -1.0})
+        W = np.diag([1.75, 1.75, 1.75 + 1e-9, 1.75 - 1e-9]).astype(complex)
+        monkeypatch.setattr("dualband.hankel.dualband_matrix",
+                            lambda space, g: OperatorMatrix(W))
+        rep = analytic_spectrum(sp, g)
+        assert rep.match_gap == np.inf
+        assert rep.scatter < 1e-8
 
     @pytest.mark.parametrize("space, g", [
         (nilpotent_space, Z(1)), (nilpotent_space, Z(3)),

@@ -1,5 +1,7 @@
 """Laurent symbol arithmetic, inner functions, grids."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,26 @@ class TestDenominatorCheck:
         monkeypatch.setattr(np, "roots", counting)
         twist_space(64, 0.5)
         assert calls == []
+
+    @pytest.mark.parametrize("warn_as_error", [False, True],
+                             ids=["default", "W-error"])
+    def test_unlocatable_roots_raise_typed(self, warn_as_error):
+        # n = 768 zeros with |a| <= 0.5: the top coefficient of
+        # prod(1 - conj(a) z) is so small that the companion matrix of
+        # np.roots overflows; a tiny top coefficient does it directly
+        rng = np.random.default_rng(5)
+        n = 768
+        zeros = 0.5 * np.sqrt(rng.uniform(size=n)) * \
+            np.exp(2j * np.pi * rng.uniform(size=n))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("error" if warn_as_error else "always")
+            with pytest.raises(CoefficientError, match="double precision"):
+                build_dualband(InnerFunction.blaschke(zeros),
+                               aplus=LaurentSymbol.constant(0.8 + 0.1j),
+                               aminus=LaurentSymbol.constant(0.6))
+            with pytest.raises(CoefficientError, match="degree-2"):
+                LaurentSymbol.rational([1.0], [1.0, 0.5, 1e-320])
+        assert seen == []
 
     def test_derived_match_the_checked_build(self):
         # what each operator built before its check was dropped: the
