@@ -82,6 +82,12 @@ def _jsonable(obj):
 
 # ---------------------------------------------------------------------------
 # tasks
+#
+# Every task takes (space, scn, opts).  The factorize and resolvent tasks
+# also take ``factors``, one run's canonical factorizations
+# {lam: FactorizationResult} at the run's grid: the factorize task puts
+# each one it builds there, and the resolvent task solves with it instead
+# of building it again.
 
 def _task_validate(space, scn, opts):
     lim = _limit(opts, "validate")
@@ -158,7 +164,7 @@ def _task_kernel(space, scn, opts):
     return out
 
 
-def _task_factorize(space, scn, opts):
+def _task_factorize(space, scn, opts, factors=None):
     ilim = _limit(opts, "factorize_identity")
     tlim = _limit(opts, "factorize_tail")
     dlim = _limit(opts, "factorize_det")
@@ -166,6 +172,8 @@ def _task_factorize(space, scn, opts):
     canonical = []
     for lam in scn.lambdas:
         res = canonical_factors(space, lam, G=opts.get("grid"))
+        if factors is not None:
+            factors[lam] = res
         chk = verify_factorization(res)
         canonical.append({"lambda": lam, "kind": res.kind, "grid": res.grid,
                           "region": res.extras["region"],
@@ -190,7 +198,7 @@ def _task_factorize(space, scn, opts):
             "canonical": canonical, "meromorphic": meromorphic}
 
 
-def _task_resolvent(space, scn, opts):
+def _task_resolvent(space, scn, opts, factors=None):
     lim = _limit(opts, "resolvent")
     rng = np.random.default_rng(RESOLVENT_SEED)
     h = rng.standard_normal(2 * space.n) + \
@@ -198,7 +206,8 @@ def _task_resolvent(space, scn, opts):
     violations = []
     solves = []
     for lam in scn.lambdas:
-        _, diag = resolvent_apply(space, lam, h, G=opts.get("grid"))
+        _, diag = resolvent_apply(space, lam, h, G=opts.get("grid"),
+                                  factors=(factors or {}).get(lam))
         solves.append({"lambda": lam, "residual": diag["residual"],
                        "cond_minus": diag["cond_minus"], "grid": diag["grid"],
                        "kind": diag["kind"], "region": diag["region"],
@@ -232,6 +241,7 @@ _TASKS = {
     "resolvent": _task_resolvent,
     "norm": _task_norm,
 }
+_FACTOR_TASKS = ("factorize", "resolvent")
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +256,12 @@ def run_scenario(scn, opts, fail_fast=False):
 
     results = {}
     timings = {}
+    factors = {}
     for name in tasks:
         t0 = time.perf_counter()
+        shared = {"factors": factors} if name in _FACTOR_TASKS else {}
         try:
-            res = _TASKS[name](space, scn, opts)
+            res = _TASKS[name](space, scn, opts, **shared)
         except DualbandError as exc:
             res = {"ok": False, "input_error": True,
                    "error": f"{type(exc).__name__}: {exc}",

@@ -25,16 +25,18 @@ band-ratio construction (spectra, factorizations, resolvents) without
 naming phi and psi; operator matrices are then formed in the two-copy
 coordinates, which the block identity above makes unitarily faithful.
 
-The compression of z, T_z, is built in closed form from theta's zeros,
-its front constant and the split (``_shift_closed_form``): it samples
+The compression of z, T_z = [[S, alpha K], [beta K, S]], is built in
+closed form: S and K from theta's zeros and front constant
+(``_shift_closed_form``), alpha and beta from the split.  It samples
 nothing.  ``shift_quadrature_residual`` measures it against the
 quadrature compression of z, built outside the space's store.
 
-A space keeps the dense matrices it is asked for: T_z in its own
-attribute, and the ``dualband_matrix`` and ``block_w`` results of its
-latest symbol g, keyed by (kind, g, G as passed).  A call with a new g
-drops the previous g's matrices (T_z stays), so the store stays bounded;
-it is freed with the space.  Kept entries are read-only.
+A space keeps the dense matrices it is asked for: T_z and its blocks
+(S, K) in their own attributes, and the ``dualband_matrix`` and
+``block_w`` results of its latest symbol g, keyed by (kind, g, G as
+passed).  A call with a new g drops the previous g's matrices (T_z
+stays), so the store stays bounded; it is freed with the space.  Kept
+entries are read-only.
 
 Dual-band coordinates are laid out [first band | second band], n each;
 ``synth_bands`` and ``project_bands`` are the one place that layout
@@ -77,6 +79,7 @@ class DualBandSpace:
         self._split_constants = None
         self._dense = {}    # (kind, g, G) -> OperatorMatrix
         self._shift = None  # T_z, read-only once built
+        self._shift_blocks = None   # its (S, K)
 
     # ------------------------------------------------------------ sampling
     def band_values(self, G):
@@ -150,9 +153,21 @@ class DualBandSpace:
         every lam.
         """
         if self._shift is None:
-            self._shift = _shift_closed_form(self)
+            c = shift_constants(self)
+            S, K = self.shift_blocks()
+            self._shift = np.block([[S, c.alpha * K], [c.beta * K, S]])
             self._shift.flags.writeable = False
         return self._shift
+
+    def shift_blocks(self):
+        """Read-only (S, K) with T_z = [[S, alpha K], [beta K, S]]: S the
+        compression of z to K_theta, K = k0 c0^H (``_shift_closed_form``),
+        built once.  They need only theta."""
+        if self._shift_blocks is None:
+            self._shift_blocks = _shift_closed_form(self.basis)
+            for m in self._shift_blocks:
+                m.flags.writeable = False
+        return self._shift_blocks
 
     def _kept(self, kind, g, G, build):
         """The kept matrix of (kind, g, G); build() on first call.  Its
@@ -327,20 +342,20 @@ def _band_quadrature(space, g, G):
     return OperatorMatrix(((B * g.sample(G)) @ B.conj().T).T / G)
 
 
-def _shift_closed_form(space):
-    """T_z from theta's zeros, its front constant and the split.
+def _shift_closed_form(basis):
+    """(S, K), the blocks of T_z, from theta's zeros and front constant.
 
-    T_z = [[S, alpha k0 c0^H], [beta k0 c0^H, S]] with S the compression
-    of z to K_theta, k0 = conj(e(0)) the coordinates of the reproducing
-    kernel at the origin, and c0 those of C k0 = (theta - theta(0)) / z.
-    S is lower triangular, S[i, i] = a_i and, for i > j,
-    S[i, j] = w_i w_j prod_{j<k<i} (-conj(a_k)), w_k = sqrt(1 - |a_k|^2).
-    Each row of that product is the row above times -conj(a_{i-1}), with
-    a 1 on the subdiagonal, so zeros at the origin divide nothing.
+    T_z = [[S, alpha K], [beta K, S]] with S the compression of z to
+    K_theta, K = k0 c0^H, k0 = conj(e(0)) the coordinates of the
+    reproducing kernel at the origin, and c0 those of
+    C k0 = (theta - theta(0)) / z.  S is lower triangular, S[i, i] = a_i
+    and, for i > j, S[i, j] = w_i w_j prod_{j<k<i} (-conj(a_k)),
+    w_k = sqrt(1 - |a_k|^2).  Each row of that product is the row above
+    times -conj(a_{i-1}), with a 1 on the subdiagonal, so zeros at the
+    origin divide nothing.
     """
-    c = shift_constants(space)
-    a = space.basis.zeros
-    n = space.n
+    a = basis.zeros
+    n = basis.n
     w = np.sqrt(1.0 - np.abs(a) ** 2)
     P = np.zeros((n, n), dtype=complex)
     for i in range(1, n):
@@ -349,14 +364,9 @@ def _shift_closed_form(space):
     S = w[:, None] * P * w[None, :] + np.diag(a)
     # k0_l = w_l prod_{j<l} (-conj(a_j)), c0_l = c w_l prod_{j>l} (-a_j)
     k0 = w * np.concatenate([[1.0], np.cumprod(-np.conj(a[:-1]))])
-    c0 = _front_const(space.theta) * w * np.concatenate(
+    c0 = _front_const(basis.theta) * w * np.concatenate(
         [np.cumprod(-a[:0:-1])[::-1], [1.0]])
-    K = np.outer(k0, np.conj(c0))
-    T = np.empty((2 * n, 2 * n), dtype=complex)
-    T[:n, :n] = T[n:, n:] = S
-    T[:n, n:] = c.alpha * K
-    T[n:, :n] = c.beta * K
-    return T
+    return S, np.outer(k0, np.conj(c0))
 
 
 def shift_quadrature_residual(space):

@@ -413,15 +413,21 @@ def verify_factorization(res):
     return out
 
 
-def resolvent_apply(space, lam, h_coords, G=None):
+def resolvent_apply(space, lam, h_coords, G=None, factors=None):
     """Solve the compression of (z - lam) applied to f = h by factors.
 
     Lifts h into the extension, solves the minus factor pointwise,
     projects onto the analytic half, applies the stored plus inverse and
     reads the band coordinates back off the first two components.
-    Returns (coords, diagnostics).
+    ``factors`` is ``canonical_factors(space, lam, G)`` when the caller
+    already holds it; otherwise it is built here.  Returns (coords,
+    diagnostics).
     """
-    res = canonical_factors(space, lam, G=G)
+    res = canonical_factors(space, lam, G=G) if factors is None else factors
+    if res.lam != complex(lam) or (G and res.grid != G):
+        raise ValueError(
+            f"factors at lam={res.lam}, G={res.grid} do not match "
+            f"lam={complex(lam)}, G={G}")
     Gq = res.grid
     h = np.asarray(h_coords, dtype=complex)
     H = np.zeros((4, Gq), dtype=complex)

@@ -12,6 +12,25 @@ at the origin this is the monomial basis {1, z, ..., z^{n-1}}.
 Inner products are grid averages over dyadic grids, which are exact for
 trigonometric polynomials below the Nyquist frequency and alias-bounded
 otherwise via the refinement policy in :mod:`dualband.symbols`.
+
+On the monomial basis (``is_monomial``, read from the zeros) the grid
+average <f, z^k> is the FFT coefficient of f at index k mod G, so the
+basis transforms are slices of one FFT and build no (n, G) basis
+samples:
+
+    project_values(f)   = grid_fft(f)[k mod G],            k < n
+    synth_values(c, G)  = grid_ifft of c folded mod G       (_fold_ifft)
+    tto_matrix(g)[l, k] = grid_fft(g samples)[(l - k) mod G]
+
+the last being the Toeplitz matrix of g's grid coefficients (Sarason,
+"Algebraic properties of truncated Toeplitz operators", 2007).  The
+folds give the same grid sum as the sampled basis for every G, G < n
+included.  The basis samples themselves (``values``) are then the exact
+grid powers z_j^k = z_{jk mod G}.  ``values`` and ``eval_at`` stay for
+the band samples (``DualBandSpace.band_values``), the conjugation
+(``ctheta_matrix``) and off-grid points, so the block-assembly check
+(``dual_band.unitary_equiv_check``) still compares two differently
+computed quadratures.
 """
 
 from __future__ import annotations
@@ -20,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import InnerFunction, choose_grid, memo
+from .symbols import InnerFunction, _fold_ifft, choose_grid, grid_fft, memo
 
 
 @dataclass
@@ -48,15 +67,15 @@ class ModelSpaceBasis:
         self.theta_symbol = theta.as_symbol()   # exact rational form, built once
         self.zeros = np.asarray(zeros, dtype=complex)
         self.n = len(zeros)
+        self.is_monomial = bool(np.all(self.zeros == 0))
         self._samples = {}
         self._ctheta = {}
 
-    @property
-    def is_monomial(self):
-        return bool(np.all(self.zeros == 0))
-
     def values(self, G):
         """(n, G) array of basis samples on the size-G grid."""
+        if self.is_monomial:
+            return memo(self._samples, G, lambda z: z[
+                np.outer(np.arange(self.n), np.arange(G)) % G])
         return memo(self._samples, G, self.eval_at)
 
     def eval_at(self, z):
@@ -80,20 +99,31 @@ class ModelSpaceBasis:
 
     def project_values(self, fvals):
         """Coefficients <f, e_k> from samples of f."""
-        V = self.values(fvals.size)
-        return (V.conj() @ fvals) / fvals.size
+        G = fvals.size
+        if self.is_monomial:
+            return grid_fft(fvals)[np.arange(self.n) % G]
+        V = self.values(G)
+        return (V.conj() @ fvals) / G
 
     def synth_values(self, coeffs, G):
         """Samples of sum_k coeffs[k] e_k on the size-G grid."""
-        return np.asarray(coeffs, dtype=complex) @ self.values(G)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if self.is_monomial:
+            return _fold_ifft(coeffs, 0, G)
+        return coeffs @ self.values(G)
 
 
 def tto_matrix(basis, g, G=None):
     """Matrix of the compression of multiplication by g to K_theta.
 
-    Entry (l, k) is <g e_k, e_l>.
+    Entry (l, k) is <g e_k, e_l>: on the monomial basis the grid
+    coefficient of g at index (l - k) mod G.
     """
     G = G or basis.default_grid([g])
+    if basis.is_monomial:
+        k = np.arange(basis.n)
+        return OperatorMatrix(
+            grid_fft(g.sample(G))[(k[:, None] - k[None, :]) % G])
     V = basis.values(G)
     return OperatorMatrix(((V * g.sample(G)) @ V.conj().T).T / G)
 

@@ -40,6 +40,26 @@ resolvent residuals are measured as || T_z v - lam v ||.  T_z is built
 in closed form from theta's zeros, its front constant and the split
 (``dual_band._shift_closed_form``); the quadrature compression of z
 checks it in the ``validate`` task (``shift_quadrature_residual``).
+
+The dense eigenvalue cross-check splits T_z into two n x n problems.
+With T_z = [[S, alpha K], [beta K, S]] (``space.shift_blocks()``) and
+s = sqrt(kappa), conjugating by diag(I, t I), t^2 = beta / alpha, puts
+s K in both off-diagonal blocks, and [[I, I], [I, -I]] then separates
+them:
+
+    det(T_z - lam) = det(S + s K - lam) det(S - s K - lam).
+
+Both sides are polynomials in alpha and beta, so the identity holds at
+alpha = 0, beta = 0 and kappa = 0 too.  S is the compressed shift of
+K_theta and S +- s K are its rank-one perturbations (Clark, "One
+dimensional perturbations of restricted shifts", 1972), whose
+determinants are the factors theta - s (1 - tbar theta) and
+theta + s (1 - tbar theta) of delta.  ``_matrix_cross_check`` takes
+the eigenvalues of the two blocks.  On theta = z^n, S + s K is the
+companion matrix that ``np.roots`` builds in ``solve_theta_equals``, so
+there the cross-check confirms the w-quadratic and the region
+bookkeeping, and the residual || T_z v - lam v || stays the independent
+check.
 """
 
 from __future__ import annotations
@@ -307,7 +327,8 @@ def point_spectrum(space, cross_check=True):
     || v || over the kernel rows v, with T_z = ``space.shift_matrix()``;
     this is the residual of the compression of z - lam itself, because
     the band basis is orthonormal.  A dense eigenvalue cross-check
-    against T_z is attached when requested.
+    against T_z, by its two n x n blocks S +- sqrt(kappa) K, is attached
+    when requested.
     """
     c = shift_constants(space)
     theta = space.theta
@@ -350,15 +371,30 @@ def _residual(T, rows, lam):
 
 
 def _matrix_cross_check(space, points):
-    """Compare the closed form with dense eigenvalues of the shift."""
-    eigs = np.linalg.eigvals(space.shift_matrix())
+    """Compare the closed form with dense eigenvalues of the shift.
+
+    The dense eigenvalues of T_z are those of S + sqrt(kappa) K and
+    S - sqrt(kappa) K, two n x n eigenproblems: with (S, K) =
+    ``space.shift_blocks()``, det(T_z - lam) = det(S + sK - lam)
+    det(S - sK - lam), s = sqrt(kappa) (module docstring).
+    ``match_gap`` is the largest distance from a formula point to its
+    nearest dense eigenvalue.
+    """
+    S, K = space.shift_blocks()
+    s = np.sqrt(complex(shift_constants(space).kappa))
+    eigs = np.concatenate([np.linalg.eigvals(S + s * K),
+                           np.linalg.eigvals(S - s * K)])
     formula = np.array([p.lam for p in points], dtype=complex)
     # one distance matrix: dense eigenvalues down, formula points across
     dist = np.abs(eigs[:, None] - formula[None, :])
+    nearest = dist.min(axis=0, initial=np.inf)
     missed = eigs[dist.min(axis=1, initial=np.inf) > 1e-6]
-    spurious = formula[dist.min(axis=0, initial=np.inf) > 1e-6]
+    spurious = formula[nearest > 1e-6]
     return {
+        "eigensolver": "two n x n blocks, S + sqrt(kappa) K and "
+                       "S - sqrt(kappa) K",
         "matrix_eigs": sorted([complex(e) for e in eigs], key=spectral_key),
+        "match_gap": float(nearest.max(initial=0.0)),
         "unmatched_matrix_eigs": [complex(e) for e in missed],
         "unmatched_formula_points": [complex(f) for f in spurious],
         "agrees": not missed.size and not spurious.size,

@@ -135,6 +135,28 @@ class TestNumericsGrid:
         assert seen and set(seen) == {want}
 
 
+class TestFactorsBuiltOnce:
+    def test_one_build_per_space_lambda_grid(self, tmp_path, monkeypatch):
+        # the resolvent task solves with the factorize task's factors
+        import dualband.cli as cli
+        import dualband.factorization as fz
+        builds = []
+        real = fz.canonical_factors
+
+        def recording(space, lam, G=None):
+            res = real(space, lam, G=G)
+            builds.append((id(space), res.lam, res.grid))
+            return res
+
+        monkeypatch.setattr(cli, "canonical_factors", recording)
+        monkeypatch.setattr(fz, "canonical_factors", recording)
+        path = os.path.join(SCN_DIR, "blaschke_twist.scn")
+        assert main(["run", "--scenario", path, "--out", str(tmp_path)]) == 0
+        rep = read_json(tmp_path / "blaschke_twist.report.json")
+        assert len(rep["tasks"]["resolvent"]["solves"]) == 4
+        assert len(builds) == len(set(builds)) == 4
+
+
 class TestSugar:
     def test_single_task(self, tmp_path):
         code = main(["spectrum", "--scenario", CASE_II,

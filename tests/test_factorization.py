@@ -306,6 +306,26 @@ class TestResolvent:
         assert any("condition bound" in v for v in out["violations"])
 
 
+class TestResolventWithFactors:
+    @pytest.mark.parametrize("lam", (0.3, 2.0))
+    def test_given_factors_solve_alike(self, lam):
+        sp = twist_space()
+        h = np.array([1.0, 0.5j, -0.25, 2.0])
+        res = canonical_factors(sp, lam)
+        got, gdiag = resolvent_apply(sp, lam, h, factors=res)
+        want, wdiag = resolvent_apply(sp, lam, h)
+        assert np.array_equal(got, want)
+        assert gdiag == wdiag
+
+    def test_refuses_factors_of_another_point(self):
+        sp = twist_space()
+        res = canonical_factors(sp, 0.3)
+        with pytest.raises(ValueError, match="do not match"):
+            resolvent_apply(sp, 0.2, np.ones(4), factors=res)
+        with pytest.raises(ValueError, match="do not match"):
+            resolvent_apply(sp, 0.3, np.ones(4), G=2 * res.grid, factors=res)
+
+
 # --------------------------------------------------------------------------
 # the extension rule's grid against a finer one
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from dualband import (InnerFunction, LaurentSymbol, ModelSpaceBasis,
                       ctheta_matrix, tto_matrix)
+from dualband.symbols import grid_points
 
 
 def z_power_basis():
@@ -138,3 +139,41 @@ class TestConjugation:
         A = tto_matrix(basis, g).entries
         R = ctheta_matrix(basis)
         assert np.max(np.abs(A @ R - R @ A.T)) < 1e-10
+
+
+class TestMonomialFFT:
+    """On theta = z^n the basis transforms are FFT slices; they equal the
+    (n, G) basis-matrix quadrature, folds at G < n included."""
+
+    # a rational g with coefficients on both sides of zero
+    G_SYMBOL = LaurentSymbol.rational([1.0, 0.4j, -0.2], [1.0, -0.5 + 0.2j],
+                                      shift=-1)
+
+    @staticmethod
+    def matrix_path(n, G):
+        """(n, G) samples z_j^k = exp(2 pi i (jk mod G) / G)."""
+        jk = np.outer(np.arange(n), np.arange(G)) % G
+        return np.exp(2j * np.pi * jk / G)
+
+    @pytest.mark.parametrize("n", (1, 3, 64))
+    @pytest.mark.parametrize("G", (2, 64, 16384))
+    def test_transforms_match_the_basis_matrix(self, n, G):
+        basis = ModelSpaceBasis(InnerFunction.monomial(n))
+        assert basis.is_monomial
+        V = self.matrix_path(n, G)
+        gv = self.G_SYMBOL.sample(G)
+        rng = np.random.default_rng(n * G)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.max(np.abs(basis.project_values(gv)
+                             - V.conj() @ gv / G)) <= 1e-14
+        # a sum of n terms: within 1e-14 of its own size
+        synth = c @ V
+        assert np.max(np.abs(basis.synth_values(c, G) - synth)) \
+            <= 1e-14 * max(1.0, np.max(np.abs(synth)))
+        want = ((V * gv) @ V.conj().T).T / G
+        got = tto_matrix(basis, self.G_SYMBOL, G=G).entries
+        assert got.shape == (n, n)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(basis.values(G) - V)) <= 1e-14
+        # the product recurrence of eval_at drifts by about k eps in z^k
+        assert np.max(np.abs(basis.eval_at(grid_points(G)) - V)) <= 1e-13

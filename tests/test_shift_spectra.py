@@ -15,7 +15,8 @@ from dualband import (InnerFunction, LaurentSymbol, MissingDecompositionError,
                       NotAnEigenvalueError, adc_test, build_dualband,
                       build_space, classify, delta, delta_tilde,
                       dualband_matrix, eigvec_build, essential_spectrum,
-                      parse_scenario, point_spectrum, resolvent_apply,
+                      kernel_lift, kernel_project, parse_scenario,
+                      point_spectrum, resolvent_apply,
                       shift_constants, shift_quadrature_residual,
                       solve_theta_equals)
 from dualband.model_space import ModelSpaceBasis
@@ -316,6 +317,73 @@ class TestShiftMatrix:
         point_spectrum(sp, cross_check=False)
         resolvent_apply(sp, 0.0, np.array([1.0, 0, 0, 0], dtype=complex))
         assert len(builds) == 0
+
+
+class TestMonomialBasisSamples:
+    def test_no_grid_sized_basis_evaluation(self, monkeypatch):
+        # on theta = z^n the basis transforms are FFT slices: eval_at sees
+        # only the closed-form kernel batch, at most 2n points at a time
+        sizes = []
+        real = ModelSpaceBasis.eval_at
+
+        def counting(self, z):
+            sizes.append(np.size(z))
+            return real(self, z)
+
+        monkeypatch.setattr(ModelSpaceBasis, "eval_at", counting)
+        n = 64
+        sp = twist_space(n, 0.5)
+        rep = point_spectrum(sp)
+        assert len(rep.points) == 2 * n and rep.cross_check["agrees"]
+        p = rep.points[0]
+        vec = kernel_lift(sp, p.coords[0], lam=p.lam, n_ext=128)
+        back = kernel_project(sp, vec, lam=p.lam)
+        assert np.linalg.norm(back - p.coords[0]) < 1e-8
+        rng = np.random.default_rng(64)
+        h = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        _, diag = resolvent_apply(sp, 0.3j, h)
+        assert diag["residual"] < 1e-6
+        assert sizes and max(sizes) <= 2 * n
+
+
+class TestSplitEigensolver:
+    """The cross-check's two n x n blocks S +- sqrt(kappa) K give the
+    eigenvalues of the 2n x 2n T_z."""
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng([seed, 23])
+        n = int(rng.integers(1, 41))
+        zeros = 0.9 * np.sqrt(rng.uniform(0, 1, n)) \
+            * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        ap, am = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        # generic; alpha = 0; beta = 0; both (kappa = 0 either way)
+        ap = 0.0 if seed % 4 in (1, 3) else ap
+        am = 0.0 if seed % 4 in (2, 3) else am
+        return build_dualband(
+            InnerFunction.blaschke(list(zeros)),
+            aplus=LaurentSymbol.from_coeffs({0: ap, 1: 0.3 * ap}),
+            aminus=LaurentSymbol.from_coeffs({0: am, -1: -0.2 * am}))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_dense_eigenvalues(self, seed):
+        sp = self.draw(seed)
+        cc = ss._matrix_cross_check(sp, [])
+        got = np.array(cc["matrix_eigs"])
+        want = np.linalg.eigvals(sp.shift_matrix())
+        assert got.size == want.size == 2 * sp.n
+        dist = np.abs(want[:, None] - got[None, :])
+        gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+        assert gap <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_reports_solver_and_match_gap(self):
+        rep = point_spectrum(twist_space(3, 0.5))
+        cc = rep.cross_check
+        assert "S + sqrt(kappa) K" in cc["eigensolver"]
+        eigs = np.array(cc["matrix_eigs"])
+        want = max(float(np.min(np.abs(eigs - p.lam))) for p in rep.points)
+        assert cc["match_gap"] == want
+        assert cc["match_gap"] < 1e-12 and cc["agrees"]
 
 
 def disc_zeros(seed, n, radius):
