@@ -178,7 +178,8 @@ def _task_factorize(space, scn, opts, factors=None):
         canonical.append({"lambda": lam, "kind": res.kind, "grid": res.grid,
                           "region": res.extras["region"],
                           "warnings": list(res.warnings), **chk})
-        for key in ("identity_residual", "reconstruction_residual"):
+        for key in ("identity_residual", "reconstruction_residual",
+                    "plus_identity_residual"):
             _check(violations, key, chk[key], ilim, lam)
         for key in ("plus_tail", "minus_tail"):
             _check(violations, key, chk[key], tlim, lam)
@@ -193,6 +194,8 @@ def _task_factorize(space, scn, opts, factors=None):
                             "split_residual": split_res, **chk})
         _check(violations, "meromorphic identity", chk["identity_residual"],
                ilim)
+        _check(violations, "meromorphic plus identity",
+               chk["plus_identity_residual"], ilim)
         _check(violations, "split residual", split_res, ilim)
     return {"ok": not violations, "violations": violations,
             "canonical": canonical, "meromorphic": meromorphic}

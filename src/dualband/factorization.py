@@ -3,12 +3,22 @@
 For the four-by-four extension symbol of the compression of z - lam the
 factors are written down in closed form; no numerical factorization is
 performed.  Every branch stores the minus factor M, the inverse X of
-the plus factor, and diagonal powers k with
+the plus factor, the plus factor P = X^{-1} itself, and diagonal powers
+k with
 
     symbol = M diag(z^k) X^{-1},   i.e.   symbol X = M diag(z^k),
 
-which ``verify_factorization`` measures on the grid together with the
-half-plane supports and determinant laws of the factors.
+which ``verify_factorization`` measures on the grid together with
+X P = I, the half-plane supports and the determinant laws of the
+factors.
+
+Every entry of P is a constant times 1, z - lam, the lam-profile prof,
+or an affine function of theta: X's Schur complement on its constant
+2 x 2 block is a constant 2 x 2 matrix, and (z - lam) prof is
+theta - theta(lam) inside and on the circle, 1 - tau theta outside.
+The entries are written in that factored form, never as a difference
+such as 1 - (z - lam) e prof on the grid, so no grid point carries a
+cancellation and no per-point inverse is taken.
 
 Four families are covered:
 
@@ -26,17 +36,22 @@ Four families are covered:
   to (-1, -1, 1, 1).
 
 ``resolvent_apply`` chains the canonical factors into the standard
-solve: project the lifted right-hand side between the factors and read
-off the first two components.
+solve: with G^{-1} = [[theta I, 0], [-C, conj(theta) I]] (C the
+symbol's lower-left block, |theta| = 1 on the circle) the minus factor
+inverts as M^{-1} = P G^{-1}, so the lifted right-hand side
+H = (0, 0, h1, h2) solves as Y = conj(theta) (P[:, 2] h1 + P[:, 3] h2);
+Y is projected onto the analytic half, X is applied, and the first two
+components are read off.
 
 Condition numbers: ``verify_factorization``'s ``plus_cond`` and
 ``resolvent_apply``'s ``cond_minus`` hold the Frobenius bound of
-:mod:`dualband.matsym`, max_z ||F(z)||_F * max_z ||F(z)^{-1}||_F for the
-plus factor (inverted from the stored X) and the minus factor M.  It
-lies between the spectral max_z s_1 / min_z s_4 and four times it.
-``resolvent_apply`` warns when ``cond_minus`` times eps exceeds
-``COND_WARN``, the resolvent contract, which the CLI counts as a
-violation.
+:mod:`dualband.matsym` (``frobenius_cond``),
+max_z ||F(z)||_F * max_z ||F(z)^{-1}||_F, for the plus factor (from X
+and P) and the minus factor (from M and M^{-1} = P G^{-1}, taken one
+column at a time).  It lies between the spectral max_z s_1 / min_z s_4
+and four times it.  ``resolvent_apply`` warns when ``cond_minus`` times
+eps exceeds ``COND_WARN``, the resolvent contract, which the CLI counts
+as a violation.
 
 Grids: without an explicit G every factorization is gridded by the
 extension rule, ``DualBandSpace.extension_grid``: the space's quadrature
@@ -60,7 +75,8 @@ import numpy as np
 
 from .errors import EigenvalueEncounteredError, NoAdcError
 from .extension import build_G, split_form_symbol
-from .matsym import MatrixSymbol, monomial_diag_values
+from .matsym import (MatrixSymbol, frobenius_cond, monomial_diag_values,
+                     sq_frobenius)
 from .shift_spectra import _region, delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
                       difference_quotient, grid_points)
@@ -81,6 +97,7 @@ class FactorizationResult:
     symbol: MatrixSymbol
     minus: MatrixSymbol
     plus_inverse: MatrixSymbol
+    plus: MatrixSymbol
     diag_powers: tuple
     det_expected: complex | None
     warnings: list = field(default_factory=list)
@@ -156,36 +173,61 @@ def canonical_factors(space, lam, G=None):
 
     if region == "inside":
         prof = difference_quotient(space.theta, lam, G)   # analytic profile
+        zlp = th - thl                                     # zl * prof
         lower2, lower4 = -1, -1                            # X rows 3, 4
         m32, m44 = -thl, -thl
         m34, m42 = Apb * (1 - thl * tb), Am * (1 - thl * tb)
     else:
         prof = (1 - tau * th) / zl
+        zlp = tau * th - 1                                 # -zl * prof
         lower2, lower4 = tau, tau
         m32, m44 = 1, 1
         m34, m42 = Apb * (tb - tau), Am * (tb - tau)
     profc = prof * tb
 
     if not degenerate:
+        b, cc = -(c.alpha / c.disc), -(c.beta / c.disc)
         c0 = c.kappa * c.tbar / c.disc
-        g31 = -(c.beta / c.disc) * zl * (Apb * tb - c.alpha * c.tbar)
+        g31 = cc * zl * (Apb * tb - c.alpha * c.tbar)
         g33 = (zl / c.disc) * (Apb - c.alpha
                                + c.kappa * c.tbar * Apb * (tb - c.tbar))
         g41 = (zl / c.disc) * (Am - c.beta
                                + c.kappa * c.tbar * Am * (tb - c.tbar))
-        g43 = -(c.alpha / c.disc) * zl * (Am * tb - c.beta * c.tbar)
+        g43 = b * zl * (Am * tb - c.beta * c.tbar)
         plus_inv = MatrixSymbol.rows(G, [
-            [th + c0, prof, -(c.alpha / c.disc), 0],
-            [-(c.beta / c.disc), 0, th + c0, prof],
+            [th + c0, prof, b, 0],
+            [cc, 0, th + c0, prof],
             [-zl, lower2, 0, 0],
             [0, 0, -zl, lower4],
         ])
         minus = MatrixSymbol.rows(G, [
-            [1 + c0 * tb, profc, -(c.alpha / c.disc) * tb, 0],
-            [-(c.beta / c.disc) * tb, 0, 1 + c0 * tb, profc],
+            [1 + c0 * tb, profc, b * tb, 0],
+            [cc * tb, 0, 1 + c0 * tb, profc],
             [g31, m32, g33, m34],
             [g41, m42, g43, m44],
         ])
+        if region == "inside":
+            e = c0 + thl
+            D = b * cc - e * e
+            d = (e / D) * (c0 + th) - b * cc / D
+            plus = MatrixSymbol.rows(G, [
+                [-e / D, b / D, (-e / D) * prof, (b / D) * prof],
+                [(e / D) * zl, (-b / D) * zl, d, (-b / D) * zlp],
+                [cc / D, -e / D, (cc / D) * prof, (-e / D) * prof],
+                [(-cc / D) * zl, (e / D) * zl, (-cc / D) * zlp, d],
+            ])
+        else:
+            f = 1 + c0 * tau
+            D = b * cc * tau * tau - f * f
+            d = b * cc * tau / D - (f / D) * (c0 + th)
+            plus = MatrixSymbol.rows(G, [
+                [-tau * f / D, b * tau * tau / D, (f / D) * prof,
+                 (-b * tau / D) * prof],
+                [(-f / D) * zl, (b * tau / D) * zl, d, (b / D) * zlp],
+                [cc * tau * tau / D, -tau * f / D, (-cc * tau / D) * prof,
+                 (f / D) * prof],
+                [(cc * tau / D) * zl, (-f / D) * zl, (cc / D) * zlp, d],
+            ])
         kind = "canonical-generic"
     else:
         a = c.alpha
@@ -203,10 +245,36 @@ def canonical_factors(space, lam, G=None):
             [-a * Am * (tb - tbar) * zl, m42,
              zl * (1 - a * tbar * Am * tb), m44],
         ])
+        s2 = a * tbar * tbar
+        if region == "inside":
+            h = 2 * tbar * thl - 1
+            d = (-tbar / h) * th - (tbar * thl - 1) / h
+            u = (tbar * thl - 1) / h
+            plus = MatrixSymbol.rows(G, [
+                [1 / (a * h), tbar / h, prof / (a * h), (tbar / h) * prof],
+                [(-tbar / h) * zl, (-s2 / h) * zl, d, (-s2 / h) * zlp],
+                [-thl / (a * h), u, (-thl / (a * h)) * prof, u * prof],
+                [(-1 / (a * h)) * zl, (-tbar / h) * zl, (-1 / (a * h)) * zlp,
+                 d],
+            ])
+        else:
+            k = tau - 2 * tbar
+            d = (-tbar / k) * th + (tau - tbar) / (tau * k)
+            u = (tau - tbar) / k
+            plus = MatrixSymbol.rows(G, [
+                [-tau / (a * k), -tau * tbar / k, prof / (a * k),
+                 (tbar / k) * prof],
+                [(-tbar / k) * zl, (-s2 / k) * zl, d,
+                 (-s2 / (tau * k)) * zlp],
+                [1 / (a * k), u, (-1 / (a * tau * k)) * prof,
+                 (-u / tau) * prof],
+                [(-1 / (a * k)) * zl, (-tbar / k) * zl,
+                 (-1 / (a * tau * k)) * zlp, d],
+            ])
         kind = "canonical-degenerate"
 
     symbol = build_G(space, lam=lam, G=G)
-    res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv,
+    res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv, plus,
                               (0, 0, 0, 0), complex(scale), warnings)
     res.extras = {"region": region, "disc": complex(c.disc),
                   "det_lambda": complex(det_lam), "minus_degree": 0}
@@ -241,9 +309,18 @@ def meromorphic_factors(space, R, G=None):
         [rv, rv * Apb * tb, 0, Apb * rv],
         [rv * Am * tb, rv, Am * rv, 0],
     ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rinv = 1 / rv       # a zero of R on the grid fails plus_cond
+        thr = th * rinv
+    plus = MatrixSymbol.rows(G, [
+        [1, 0, thr, 0],
+        [0, 1, 0, thr],
+        [0, 0, -rinv, 0],
+        [0, 0, 0, -rinv],
+    ])
     deg = _poly_degree(R)
     res = FactorizationResult("meromorphic", None, G, symbol, minus,
-                              plus_inv, (0, 0, 0, 0), None)
+                              plus_inv, plus, (0, 0, 0, 0), None)
     res.extras = {"r_values": rv, "minus_degree": deg, "region": "family"}
     return res
 
@@ -328,6 +405,13 @@ def l2_factors(space, lam, G=None):
             [m31, 0, m33, 0],
             [0, m31, 0, m33],
         ])
+        # each 2 x 2 block [[dq, th], [-1, -zl]] has determinant theta(lam)
+        plus = MatrixSymbol.rows(G, [
+            [-zl / thl, 0, -th / thl, 0],
+            [0, -zl / thl, 0, -th / thl],
+            [1 / thl, 0, dq / thl, 0],
+            [0, 1 / thl, 0, dq / thl],
+        ])
         powers = (-1, -1, 1, 1)
         det_expected = thl ** 2
         kind = "l2-exceptional"
@@ -354,13 +438,22 @@ def l2_factors(space, lam, G=None):
             [m31, m32, 0, 0],
             [0, 0, m31, m32],
         ])
+        # each 2 x 2 block [[q + th, dq], [-zl, -1]] has determinant
+        # -(q + theta(lam))
+        r = 1 / (q + thl)
+        plus = MatrixSymbol.rows(G, [
+            [r, 0, r * dq, 0],
+            [-r * zl, 0, -r * (q + th), 0],
+            [0, r, 0, r * dq],
+            [0, -r * zl, 0, -r * (q + th)],
+        ])
         powers = (0, 0, 0, 0)
         det_expected = -(q + thl) ** 2
         kind = "l2-generic"
 
     shift = LaurentSymbol.from_coeffs({0: -lam, 1: 1.0})
     symbol, _ = build_g_tilde(space, shift, G=G)
-    res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv,
+    res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv, plus,
                               powers, complex(det_expected), warnings)
     res.extras = {"q": complex(q), "theta_lam": thl, "gap": float(gap),
                   "minus_degree": 0, "region": "closed-disc"}
@@ -374,10 +467,11 @@ def l2_factors(space, lam, G=None):
 def verify_factorization(res):
     """Measure everything the factorization claims, on its own grid.
 
-    Returns a dict of residuals: the factor identity both ways, the
-    half-plane supports of the factors, and the determinant laws
-    (constant and equal to the closed form, or R^2 pointwise for the
-    meromorphic family).
+    Returns a dict of residuals: the factor identity both ways (the
+    second through the stored plus factor P), X P = I, the plus
+    factor's condition bound, the half-plane supports of the factors,
+    and the determinant laws (constant and equal to the closed form, or
+    R^2 pointwise for the meromorphic family).
     """
     lhs = res.symbol.matmul(res.plus_inverse)
     rhs = res.minus
@@ -386,10 +480,14 @@ def verify_factorization(res):
             monomial_diag_values(res.diag_powers, res.grid))
     out = {"identity_residual": lhs.max_abs_diff(rhs)}
 
-    plus, cond = res.plus_inverse.pointwise_inverse()
-    recon = rhs.matmul(plus)
+    out["plus_cond"] = frobenius_cond(
+        "inverse", sq_frobenius(res.plus_inverse.values),
+        sq_frobenius(res.plus.values))
+    xp = res.plus_inverse.matmul(res.plus).values
+    xp[np.arange(4), np.arange(4)] -= 1                 # X P - I
+    out["plus_identity_residual"] = float(np.max(np.abs(xp)))
+    recon = rhs.matmul(res.plus)
     out["reconstruction_residual"] = recon.max_abs_diff(res.symbol)
-    out["plus_cond"] = cond
 
     out["plus_tail"] = float(np.sqrt(res.plus_inverse.max_tail(
         lambda f: f < 0)))
@@ -416,12 +514,15 @@ def verify_factorization(res):
 def resolvent_apply(space, lam, h_coords, G=None, factors=None):
     """Solve the compression of (z - lam) applied to f = h by factors.
 
-    Lifts h into the extension, solves the minus factor pointwise,
-    projects onto the analytic half, applies the stored plus inverse and
-    reads the band coordinates back off the first two components.
-    ``factors`` is ``canonical_factors(space, lam, G)`` when the caller
-    already holds it; otherwise it is built here.  Returns (coords,
-    diagnostics).
+    Lifts h into the extension as H = (0, 0, h1, h2), solves M Y = H as
+    Y = P G^{-1} H = conj(theta) (P[:, 2] h1 + P[:, 3] h2), projects Y
+    onto the analytic half, applies the stored plus inverse X and reads
+    the band coordinates back off the first two components.  The minus
+    factor's condition bound takes M^{-1} = P G^{-1} one column at a
+    time, with G^{-1} = [[theta I, 0], [-C, conj(theta) I]] and C the
+    symbol's lower-left block.  ``factors`` is
+    ``canonical_factors(space, lam, G)`` when the caller already holds
+    it; otherwise it is built here.  Returns (coords, diagnostics).
     """
     res = canonical_factors(space, lam, G=G) if factors is None else factors
     if res.lam != complex(lam) or (G and res.grid != G):
@@ -430,10 +531,18 @@ def resolvent_apply(space, lam, h_coords, G=None, factors=None):
             f"lam={complex(lam)}, G={G}")
     Gq = res.grid
     h = np.asarray(h_coords, dtype=complex)
-    H = np.zeros((4, Gq), dtype=complex)
-    H[2:] = space.synth_bands(h, Gq)
+    h1, h2 = space.synth_bands(h, Gq)
+    th = space.theta.sample(Gq)
+    P = res.plus.values
+    C = res.symbol.values[2:, :2]
 
-    Y, cond = res.minus.solve_values(H)
+    right = np.conj(th) * P[:, 2:]              # columns 2, 3 of M^{-1}
+    Y = right[:, 0] * h1 + right[:, 1] * h2
+    inv_sq = sq_frobenius(right)
+    for j in (0, 1):                            # columns 0, 1 of M^{-1}
+        inv_sq += sq_frobenius(th * P[:, j] - P[:, 2] * C[0, j]
+                               - P[:, 3] * C[1, j])
+    cond = frobenius_cond("solve", sq_frobenius(res.minus.values), inv_sq)
     warnings = list(res.warnings)
     if cond * np.finfo(float).eps > COND_WARN:
         warnings.append(

@@ -1,6 +1,6 @@
 """Matrix-valued functions held entrywise on a common dyadic grid.
 
-Factor verification, pointwise inversion and Riesz projections all work
+Factor verification, pointwise products and Riesz projections all work
 on sampled entries; per-entry Fourier data comes from the grid FFT, so a
 MatrixSymbol is only as band-limited as its construction grid allows.
 
@@ -9,8 +9,15 @@ is a length-G sample array or a number, and a number is that constant on
 the whole grid.  A number 0 is therefore an entry that is exactly zero
 on the grid, which ``matmul`` skips as a structural zero.
 
-Pointwise solves and inverses take one LAPACK ``inv`` of the (G, r, c)
-sample stack and guard it with the condition bound
+The factor path takes no pointwise inverse: every factorization in
+:mod:`dualband.factorization` stores its plus factor P = X^{-1} in
+closed form next to X, and the resolvent inverts the minus factor as
+M^{-1} = P G^{-1}.  Those inverses are not the adjugate formula
+adj(M) / det(M), which is Cramer's rule and not backward stable
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 14.6): X's
+Schur complement on its constant 2 x 2 block is itself a constant 2 x 2
+matrix, so no grid point carries a cancellation.  Their condition goes
+through the same gate as a LAPACK inverse (``frobenius_cond``),
 
     cond_F = max_z ||M(z)||_F * max_z ||M(z)^{-1}||_F.
 
@@ -19,6 +26,12 @@ between the spectral cond_2 = max_z s_1 / min_z s_r and r cond_2 (4 for
 the extension symbols), so a refusal at a given cap is never looser
 than one on cond_2.
 
+Pointwise inverses and solves of a general symbol
+(``pointwise_inverse``, ``solve_values``) take one LAPACK ``inv`` of the
+(G, r, c) sample stack behind that gate.  The extension's adjoint check
+is the one caller of ``pointwise_inverse`` in the package;
+``solve_values`` has none.
+
 Products (``matmul``) and determinants (``det_values``) work entry by
 entry on whole length-G sample rows of the (r, c, G) layout, with no
 per-point LAPACK call.  A product skips every term whose factor entry is
@@ -26,14 +39,6 @@ exactly zero on the grid (the extension and factor symbols have 2 to 8
 such entries of 16), which changes no bit of the sum.  A determinant is
 the Laplace expansion into complementary 2 x 2 minors of rows 0-1 and
 2-3.
-
-The inverse stays with LAPACK.  The adjugate inverse adj(M) / det(M) is
-Cramer's rule, which is not backward stable (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 14.6): it raised case_ii's
-reconstruction residual to 1.8e-12 and cut the benchmark's residual
-margin from 3.13 to 1.28 digits.  A vectorised partial-pivot LU over
-the stack took 5.0 ms against 2.9 ms for ``inv`` at G = 4096 (one
-thread of a 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -106,25 +111,17 @@ class MatrixSymbol:
         return np.moveaxis((a @ v)[..., 0], 0, 1)
 
     def _conditioned(self, what, cond_cap):
-        """The (G, c, r) stack of pointwise inverses and the bound
-        max_z ||M(z)||_F * max_z ||M(z)^{-1}||_F, which lies between the
-        spectral max_z s_1 / min_z s_r and r times it.  Raises
-        SingularOperatorError at an exactly singular point, on a
-        non-finite bound (NaN or inf entries, overflowing norms) and
-        when the bound exceeds cond_cap."""
+        """The (G, c, r) stack of pointwise inverses and its
+        ``frobenius_cond`` bound.  Raises SingularOperatorError at an
+        exactly singular point too."""
         a = np.moveaxis(self.values, 2, 0)
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
             raise SingularOperatorError(
                 f"pointwise {what} meets a singular point") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            fro2 = [(s.real ** 2 + s.imag ** 2).sum(axis=(1, 2)).max()
-                    for s in (a, inv)]
-            cond = float(np.sqrt(fro2[0] * fro2[1]))
-        if not np.isfinite(cond) or cond > cond_cap:
-            raise SingularOperatorError(
-                f"pointwise {what} is ill conditioned: cond={cond:.3e}")
+        cond = frobenius_cond(what, sq_frobenius(self.values),
+                              sq_frobenius(np.moveaxis(inv, 0, 2)), cond_cap)
         return inv, cond
 
     def solve_values(self, vec_values, cond_cap=1e12):
@@ -181,10 +178,33 @@ def _live_entries(values):
     return values.any(axis=2).tolist()
 
 
+def sq_frobenius(values):
+    """Pointwise squared Frobenius norm of an (r, c, G) stack, or of a
+    (r, G) column: the sum of |entry|^2 over every axis but the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values.real ** 2 + values.imag ** 2).sum(
+            axis=tuple(range(values.ndim - 1)))
+
+
+def frobenius_cond(what, sq_norms, sq_inverse_norms, cond_cap=1e12):
+    """The bound max_z ||M(z)||_F * max_z ||M(z)^{-1}||_F from the
+    pointwise squared norms of M and of its inverse; it lies between the
+    spectral max_z s_1 / min_z s_r and r times it.  Raises
+    SingularOperatorError on a non-finite bound (NaN or inf entries,
+    overflowing norms) and when the bound exceeds cond_cap."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = float(np.sqrt(sq_norms.max() * sq_inverse_norms.max()))
+    if not np.isfinite(cond) or cond > cond_cap:
+        raise SingularOperatorError(
+            f"pointwise {what} is ill conditioned: cond={cond:.3e}")
+    return cond
+
+
 def monomial_diag_values(powers, G):
     """Samples of diag(z^k) for the given integer powers."""
     z = grid_points(G)
     return [z ** int(k) for k in powers]
 
 
-__all__ = ["MatrixSymbol", "monomial_diag_values"]
+__all__ = ["MatrixSymbol", "frobenius_cond", "monomial_diag_values",
+           "sq_frobenius"]

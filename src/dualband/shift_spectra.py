@@ -26,11 +26,12 @@ conj(e(w)), and R the conjugation C f = theta conj(z f) (``ctheta_matrix``):
 
 ``point_spectrum`` solves delta = 0 in closed form through the
 substitution w = theta(lam), which turns the problem into one quadratic
-in w followed by polynomial root finding for theta(lam) = w; this covers
-every finite Blaschke product.  It then evaluates all its candidate
-points in one batch (``_kernel_batch``): one theta evaluation, one basis
-evaluation, one product R E for the interior and boundary columns, and
-one stacked SVD of the pair matrices.  ``eigvec_build`` is the one-point
+in w followed by polynomial root finding for theta(lam) = w (n-th roots
+on theta = c z^n); this covers every finite Blaschke product.  It then
+evaluates all its candidate points in one batch (``_kernel_batch``):
+one theta evaluation, one basis evaluation, one product R E for the
+interior and boundary columns, and one stacked SVD of the pair
+matrices.  ``eigvec_build`` is the one-point
 case of that batch.
 
 Every check against a dense matrix reads one matrix per space, T_z =
@@ -55,11 +56,11 @@ K_theta and S +- s K are its rank-one perturbations (Clark, "One
 dimensional perturbations of restricted shifts", 1972), whose
 determinants are the factors theta - s (1 - tbar theta) and
 theta + s (1 - tbar theta) of delta.  ``_matrix_cross_check`` takes
-the eigenvalues of the two blocks.  On theta = z^n, S + s K is the
-companion matrix that ``np.roots`` builds in ``solve_theta_equals``, so
-there the cross-check confirms the w-quadratic and the region
-bookkeeping, and the residual || T_z v - lam v || stays the independent
-check.
+the eigenvalues of the two blocks.  On theta = c z^n, S + s K is a
+companion matrix, but ``solve_theta_equals`` does not solve it: it
+writes the points as the n-th roots of w / c.  So there too the dense
+eigenvalues are an independent check of the formula points, next to
+the residual || T_z v - lam v ||.
 """
 
 from __future__ import annotations
@@ -251,18 +252,30 @@ def _theta_poly_parts(theta):
 
 
 def solve_theta_equals(theta, w, tol=TAU_ROOT):
-    """All solutions of theta(lam) = w in the plane (finite Blaschke)."""
-    const, num, den = _theta_poly_parts(theta)
-    p = const * num - complex(w) * den
-    top = float(np.max(np.abs(p))) if p.size else 0.0
-    if top == 0.0:
-        return np.zeros(0, dtype=complex)
-    keep = np.abs(p) > 1e-14 * top
-    first = int(np.argmax(keep))
-    p = p[first:]
-    if len(p) < 2:
-        return np.zeros(0, dtype=complex)
-    roots = np.roots(p).astype(complex)
+    """All solutions of theta(lam) = w in the plane (finite Blaschke).
+
+    On theta = c z^n (every zero at 0) they are the n-th roots of w / c,
+    |w / c|^(1/n) exp(i (arg(w / c) + 2 pi k) / n) for k < n, and n
+    zeros at w = 0; otherwise they are the polynomial roots of
+    c N - w D."""
+    zeros = np.asarray(theta.zeros_list(), dtype=complex)
+    if zeros.size and not zeros.any():
+        n = zeros.size
+        u = complex(w) / _front_const(theta)
+        roots = abs(u) ** (1.0 / n) * np.exp(
+            1j * (np.angle(u) + 2 * np.pi * np.arange(n)) / n)
+    else:
+        const, num, den = _theta_poly_parts(theta)
+        p = const * num - complex(w) * den
+        top = float(np.max(np.abs(p))) if p.size else 0.0
+        if top == 0.0:
+            return np.zeros(0, dtype=complex)
+        keep = np.abs(p) > 1e-14 * top
+        first = int(np.argmax(keep))
+        p = p[first:]
+        if len(p) < 2:
+            return np.zeros(0, dtype=complex)
+        roots = np.roots(p).astype(complex)
     ok = np.abs(theta.eval_at(roots) - w) <= max(tol, 1e-9 * max(1.0, abs(w)))
     return roots[ok]
 

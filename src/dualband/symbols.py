@@ -569,7 +569,14 @@ class InnerFunction:
         return out if out.shape else complex(out)
 
     def sample(self, G):
-        """Values on the size-G dyadic grid."""
+        """Values on the size-G dyadic grid.  On theta = const z^n (a
+        finite Blaschke product with every zero at 0) these are the exact
+        grid powers const z_{jn mod G}; ``eval_at`` keeps the factor
+        loop for points off the grid."""
+        if self.kind == "finite_blaschke" and not self.zeros.any():
+            n = self.zeros.size
+            return memo(self._samples, G, lambda z: self.const * z[
+                np.arange(G) * n % G])
         return memo(self._samples, G, self.eval_at)
 
     def value_at_zero(self):

@@ -9,7 +9,8 @@ import pytest
 
 from dualband import (EigenvalueEncounteredError, InnerFunction,
                       LaurentSymbol, MissingDecompositionError, NoAdcError,
-                      build_dualband, build_space, canonical_factors,
+                      SingularOperatorError, build_dualband, build_space,
+                      canonical_factors,
                       dualband_matrix, hminus_split, l2_factors,
                       meromorphic_factors, parse_scenario, point_spectrum,
                       resolvent_apply, verify_factorization)
@@ -438,3 +439,112 @@ class TestProfilesNeedNoFloor:
                 prof = res.plus_inverse.values[0, 1]
                 assert band_energy(prof) <= TAU_ALIAS
         assert regions == {"inside", "outside"}
+
+
+# --------------------------------------------------------------------------
+# the closed-form plus factor P = X^{-1}
+# --------------------------------------------------------------------------
+
+# the scenario points plus both sides of the circle and far outside
+PLUS_LAMBDAS = (0.9j, -0.95, 1.0, -1j, 1.05, 1.5j, 50.0)
+
+
+def factor_cases():
+    """(label, result) for every branch: canonical generic and degenerate
+    inside, on and outside the circle; meromorphic; l2 generic and
+    exceptional."""
+    for path in SCENARIOS:
+        scn, sp = scenario_case(path)
+        for lam in (*scn.lambdas, *PLUS_LAMBDAS):
+            res = canonical_factors(sp, lam)
+            yield f"{scn.name}-{lam}-{res.extras['region']}", res
+        for R in (*scn.rfactors, Z(1) - 0.3):
+            yield f"{scn.name}-{R!r}", meromorphic_factors(sp, R)
+    sp = nilpotent_space()
+    for lam in (1.0, 0.4, 0.9j, -0.95, 1j):
+        yield f"l2-{lam}", l2_factors(sp, lam)
+
+
+def lapack_stack(sym):
+    return np.moveaxis(sym.values, 2, 0)
+
+
+class TestClosedFormPlus:
+    def test_every_branch_is_covered(self):
+        seen = {(res.kind, res.extras["region"]) for _, res in factor_cases()}
+        for kind in ("canonical-generic", "canonical-degenerate"):
+            assert {(kind, "inside"), (kind, "outside")} <= seen
+        assert {("meromorphic", "family"), ("l2-generic", "closed-disc"),
+                ("l2-exceptional", "closed-disc")} <= seen
+
+    def test_matches_lapack_inverse(self):
+        for label, res in factor_cases():
+            want = np.linalg.inv(lapack_stack(res.plus_inverse))
+            got = lapack_stack(res.plus)
+            assert np.max(np.abs(got - want)) <= \
+                1e-13 * np.max(np.abs(want)), label
+
+    def test_identity_residual_within_twice_lapack(self):
+        eps = np.finfo(float).eps
+        for label, res in factor_cases():
+            X = lapack_stack(res.plus_inverse)
+            ours = np.max(np.abs(X @ lapack_stack(res.plus) - np.eye(4)))
+            theirs = np.max(np.abs(X @ np.linalg.inv(X) - np.eye(4)))
+            assert ours <= 2 * max(theirs, eps), label
+
+    def test_verify_reads_the_stored_plus(self):
+        for label, res in factor_cases():
+            out = verify_factorization(res)
+            assert out["plus_identity_residual"] <= 1e-14, label
+
+    def test_corrupted_plus_is_flagged(self):
+        res = canonical_factors(twist_space(), 0.3)
+        res.plus.values[1, 2] = res.plus.values[1, 2] + 1e-3
+        out = verify_factorization(res)
+        assert 1e-4 < out["plus_identity_residual"] < 1e-2
+        assert 1e-4 < out["reconstruction_residual"] < 1e-2
+
+    def test_corrupted_plus_fails_the_task(self, monkeypatch):
+        real = cli.canonical_factors
+
+        def corrupted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.plus.values[3, 0] = res.plus.values[3, 0] + 1e-3
+            return res
+        monkeypatch.setattr(cli, "canonical_factors", corrupted)
+        out = cli._TASKS["factorize"](
+            twist_space(), SimpleNamespace(lambdas=[0.3], rfactors=[]), {})
+        assert not out["ok"]
+        assert any(v.startswith("plus_identity_residual")
+                   for v in out["violations"])
+
+    def test_r_zero_on_the_grid_is_refused(self):
+        res = meromorphic_factors(nilpotent_space(), Z(1) - 1.0)
+        with pytest.raises(SingularOperatorError, match="ill conditioned"):
+            verify_factorization(res)
+
+
+class TestMinusCondition:
+    def test_matches_lapack_bound(self):
+        seen = 0
+        for path in SCENARIOS:
+            scn, sp = scenario_case(path)
+            h = np.ones(2 * sp.n, dtype=complex)
+            for lam in (*scn.lambdas, *PLUS_LAMBDAS):
+                res = canonical_factors(sp, lam)
+                _, diag = resolvent_apply(sp, lam, h, factors=res)
+                _, want = res.minus.pointwise_inverse()
+                assert abs(diag["cond_minus"] - want) <= 1e-12 * want, lam
+                seen += 1
+        assert seen >= 30
+
+    def test_solution_matches_lapack_solve(self):
+        scn, sp = scenario_case(SCENARIOS[0])
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal(2 * sp.n) + 1j * rng.standard_normal(2 * sp.n)
+        for lam in (*scn.lambdas, *PLUS_LAMBDAS):
+            coords, _ = resolvent_apply(sp, lam, h)
+            want = np.linalg.solve(sp.shift_matrix() - lam * np.eye(2 * sp.n),
+                                   h)
+            assert np.linalg.norm(coords - want) <= \
+                1e-12 * np.linalg.norm(want), lam

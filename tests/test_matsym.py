@@ -126,8 +126,8 @@ class TestSolve:
                 return real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
 
-        counting("svd")
-        counting("det")
+        for name in ("svd", "det", "inv", "solve"):
+            counting(name)
         res = canonical_factors(sp, 0.3)
         verify_factorization(res)
         hminus_split(sp, scn.rfactors[0])

@@ -510,6 +510,35 @@ class TestThetaSolver:
         roots = solve_theta_equals(InnerFunction.monomial(2), 4.0)
         assert np.sort(roots.real) == pytest.approx([-2.0, 2.0], abs=1e-10)
 
+    @staticmethod
+    def set_gap(a, b):
+        d = np.abs(a[:, None] - b[None, :])
+        return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+    @pytest.mark.parametrize("n", (1, 2, 16, 64))
+    @pytest.mark.parametrize("w", (0.0, 1e-3, 0.9 * np.exp(0.7j)))
+    @pytest.mark.parametrize("c", (np.exp(0.3j), -1.0, 1j))
+    def test_closed_form_on_monomial(self, n, w, c, monkeypatch):
+        theta = InnerFunction.blaschke([0.0] * n, const=c)
+        p = np.zeros(n + 1, dtype=complex)
+        p[0], p[-1] = c, -w
+        companion = np.roots(p)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            u = mpmath.mpc(complex(w)) / mpmath.mpc(complex(c))
+            exact = np.array([complex(mpmath.root(u, n, k))
+                              for k in range(n)])
+        monkeypatch.setattr(np, "roots", None)    # no companion matrix
+        roots = solve_theta_equals(theta, w)
+        assert roots.size == n
+        assert self.set_gap(roots, exact) <= 1e-14
+        # np.roots itself misses the exact roots by up to 2e-14 at
+        # n = 64, w = 1e-3
+        assert self.set_gap(roots, companion) <= 1e-14 + \
+            self.set_gap(companion, exact)
+        if w == 0:
+            assert not roots.any()
+
 
 class TestBoundary:
     def test_finite_blaschke_empty(self):

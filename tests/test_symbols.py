@@ -70,6 +70,17 @@ class TestEval:
         th = InnerFunction.atomic([(1.0, 1.0)])
         assert th.eval_at(0.0) == pytest.approx(np.exp(-1.0))
 
+    @pytest.mark.parametrize("n", (1, 3, 64, 100))
+    @pytest.mark.parametrize("G", (2, 64, 16384))
+    def test_monomial_samples_are_grid_powers(self, n, G):
+        gather = grid_points(G)[np.arange(G) * n % G]
+        assert np.array_equal(InnerFunction.monomial(n).sample(G), gather)
+        # a front constant costs one complex product per sample, whose
+        # last bit numpy's vector loops may round either way
+        c = np.exp(0.3j)
+        th = InnerFunction.blaschke([0.0] * n, const=c)
+        assert np.max(np.abs(th.sample(G) - c * gather)) <= 4e-16
+
     def test_eval_matches_sample(self):
         s = LaurentSymbol.rational([1.0, 0.3], [1.0, 0.0, -0.5])
         z = grid_points(32)
