@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (DegeneracyError, MissingDecompositionError,
                      OrthogonalityError, UnimodularityError)
 from .model_space import ModelSpaceBasis, OperatorMatrix, ctheta_matrix, tto_matrix
-from .shift_spectra import _front_const, shift_constants
+from .shift_spectra import shift_constants
 from .symbols import InnerFunction, LaurentSymbol, _next_pow2, as_symbol, memo
 
 TOL_ORTHO = 1e-10
@@ -364,7 +364,7 @@ def _shift_closed_form(basis):
     S = w[:, None] * P * w[None, :] + np.diag(a)
     # k0_l = w_l prod_{j<l} (-conj(a_j)), c0_l = c w_l prod_{j>l} (-a_j)
     k0 = w * np.concatenate([[1.0], np.cumprod(-np.conj(a[:-1]))])
-    c0 = _front_const(basis.theta) * w * np.concatenate(
+    c0 = basis.theta.const * w * np.concatenate(
         [np.cumprod(-a[:0:-1])[::-1], [1.0]])
     return S, np.outer(k0, np.conj(c0))
 

@@ -149,8 +149,7 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
         raise CoefficientError(
             f"g is not analytic (co-analytic tail {g_tail:.3e}); "
             "the spectral mapping needs an analytic symbol")
-    zeros = space.theta.zeros_list()
-    raw = [complex(g.eval_at(z)) for z in zeros]
+    raw = [complex(g.eval_at(z)) for z in space.theta.zeros]
     values = []
     mult = {}
     for v in raw:
@@ -186,7 +185,7 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
     """
     side, _, _ = _triangle_side(space, tol)
     n = space.n
-    W = block_w(space, g, G=space.default_grid([g])).entries
+    W = block_w(space, g).entries
     A, B12, B21 = W[:n, :n], W[:n, n:], W[n:, :n]
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= 1e-12 * max(s[0], 1e-300):

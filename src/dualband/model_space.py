@@ -13,7 +13,7 @@ Inner products are grid averages over dyadic grids, which are exact for
 trigonometric polynomials below the Nyquist frequency and alias-bounded
 otherwise via the refinement policy in :mod:`dualband.symbols`.
 
-On the monomial basis (``is_monomial``, read from the zeros) the grid
+On the monomial basis (theta = c z^n, ``InnerFunction.is_monomial``) the grid
 average <f, z^k> is the FFT coefficient of f at index k mod G, so the
 basis transforms are slices of one FFT and build no (n, G) basis
 samples:
@@ -50,24 +50,25 @@ class OperatorMatrix:
 
 
 class ModelSpaceBasis:
-    """Orthonormal basis data for K_theta, theta a finite Blaschke product."""
+    """Orthonormal basis data for K_theta, theta a finite Blaschke product.
+
+    theta's zeros order the basis; ``zeros`` and ``is_monomial`` are
+    theta's own.  A theta with mass points, or with no zeros, raises
+    ValueError.
+    """
 
     def __init__(self, theta):
         if not isinstance(theta, InnerFunction):
             raise TypeError("theta must be an InnerFunction")
-        zeros = theta.zeros_list()
-        if theta.kind == "product" and any(
-                f.kind != "finite_blaschke" for f in theta.factors):
+        if theta.points:
             raise ValueError("model space bases need a finite Blaschke product")
-        if theta.kind == "atomic_singular":
-            raise ValueError("model space bases need a finite Blaschke product")
-        if len(zeros) < 1:
+        if theta.zeros.size < 1:
             raise ValueError("theta must have degree at least one")
         self.theta = theta
         self.theta_symbol = theta.as_symbol()   # exact rational form, built once
-        self.zeros = np.asarray(zeros, dtype=complex)
-        self.n = len(zeros)
-        self.is_monomial = bool(np.all(self.zeros == 0))
+        self.zeros = theta.zeros
+        self.n = theta.zeros.size
+        self.is_monomial = theta.is_monomial
         self._samples = {}
         self._ctheta = {}
 

@@ -17,7 +17,9 @@ Sections and keys:
     [numerics]  grid, tol, cutoff
 
 Unknown sections or keys are rejected.  Parse errors carry line and
-column positions.
+column positions; a constructor's refusal of its arguments is one.
+``[space] theta`` multiplies mono, blaschke and atomic factors and must
+be a finite Blaschke product: atomic factors are evaluation-only.
 """
 
 import hashlib
@@ -190,9 +192,12 @@ class _Parser:
         return self.expr()
 
     def call(self, name, args):
-        if self.mode == "inner":
-            return _inner_call(name, args, self)
-        return _symbol_call(name, args, self)
+        build = _inner_call if self.mode == "inner" else _symbol_call
+        try:
+            return build(name, args, self)
+        except ValueError as exc:
+            # a constructor's refusal of its arguments is an input error
+            self.fail(str(exc))
 
 
 def _as_int(val, parser, what):
@@ -255,10 +260,7 @@ def _inner_blaschke(args, parser):
     const = args[1] if len(args) == 2 else complex(1.0)
     if not isinstance(const, complex):
         parser.fail("blaschke constant must be a number")
-    try:
-        return InnerFunction.blaschke(zeros, const)
-    except ValueError as exc:
-        parser.fail(str(exc))
+    return InnerFunction.blaschke(zeros, const)
 
 
 def _inner_call(name, args, parser):
@@ -442,6 +444,10 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     if theta_text is None:
         raise ScenarioError("scenario is missing [space] theta")
     theta = parse_expression(theta_text, theta_line, mode="inner")
+    if theta.points:
+        raise ScenarioError(f"line {theta_line}: [space] theta must be a "
+                            "finite Blaschke product; atomic factors are "
+                            "evaluation-only")
 
     fields = {}
     for key in ("phi", "psi", "aplus", "aminus"):

@@ -228,45 +228,22 @@ def eigvec_build(space, lam):
 # closed-form point spectrum
 # --------------------------------------------------------------------------
 
-def _front_const(theta):
-    if theta.kind == "finite_blaschke":
-        return complex(theta.const)
-    if theta.kind == "product":
-        c = 1.0 + 0j
-        for f in theta.factors:
-            c *= _front_const(f)
-        return c
-    raise ValueError("closed-form roots need a finite Blaschke product")
-
-
-def _theta_poly_parts(theta):
-    """(const, N, D) with theta = const * N / D, N = prod (z - a_k) and
-    D = prod (1 - conj(a_k) z): coefficients in descending powers, both
-    of length n + 1, so they line up on the constant term."""
-    num = np.ones(1, dtype=complex)
-    den = np.ones(1, dtype=complex)
-    for a in theta.zeros_list():
-        num = np.convolve(num, np.array([1.0, -a], dtype=complex))
-        den = np.convolve(den, np.array([-np.conj(a), 1.0], dtype=complex))
-    return _front_const(theta), num, den
-
-
 def solve_theta_equals(theta, w, tol=TAU_ROOT):
     """All solutions of theta(lam) = w in the plane (finite Blaschke).
 
-    On theta = c z^n (every zero at 0) they are the n-th roots of w / c,
+    On theta = c z^n (``is_monomial``) they are the n-th roots of w / c,
     |w / c|^(1/n) exp(i (arg(w / c) + 2 pi k) / n) for k < n, and n
-    zeros at w = 0; otherwise they are the polynomial roots of
-    c N - w D."""
-    zeros = np.asarray(theta.zeros_list(), dtype=complex)
-    if zeros.size and not zeros.any():
-        n = zeros.size
-        u = complex(w) / _front_const(theta)
+    zeros at w = 0; otherwise they are the polynomial roots of N - w D,
+    theta = N / D (``InnerFunction.polynomials``, which raises
+    CoefficientError when theta has mass points)."""
+    if theta.is_monomial:
+        n = theta.zeros.size
+        u = complex(w) / theta.const
         roots = abs(u) ** (1.0 / n) * np.exp(
             1j * (np.angle(u) + 2 * np.pi * np.arange(n)) / n)
     else:
-        const, num, den = _theta_poly_parts(theta)
-        p = const * num - complex(w) * den
+        num, den = theta.polynomials()
+        p = (num - complex(w) * den)[::-1]
         top = float(np.max(np.abs(p))) if p.size else 0.0
         if top == 0.0:
             return np.zeros(0, dtype=complex)

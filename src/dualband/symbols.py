@@ -7,9 +7,13 @@ Two families of objects:
   ``z^shift * num(z) / den(z)``.  Products, sums and circle conjugates
   stay exact; numbers combine as constant symbols (``as_symbol``).
 
-* ``InnerFunction``, a finite Blaschke product, an atomic singular inner
-  function, or a product of those.  Atomic factors are evaluation-only:
-  asking for their Fourier coefficients raises, since no dyadic grid can
+* ``InnerFunction``, one flat record of an inner function: a unimodular
+  ``const``, the Blaschke ``zeros`` and the atomic mass ``points``
+  (theta = const * B * S, Garnett, *Bounded Analytic Functions*, ch. II).
+  A product concatenates zeros and points and multiplies constants.
+  ``is_monomial`` marks theta = const z^n, the one place that test is
+  made.  Mass points are evaluation-only: asking for coefficients
+  (``polynomials``, ``as_symbol``) raises, since no dyadic grid can
   resolve the essential singularity at a mass point.
 
 Grid conventions: grids are the ``G``-th roots of unity, ``G`` a power of
@@ -457,47 +461,44 @@ def choose_grid(objs, extra_span=0):
 # --------------------------------------------------------------------------
 
 class InnerFunction:
-    """An inner function: finite Blaschke product, atomic singular, or
-    a finite product of those.
+    """An inner function const * B(z) * S(z), held as one flat record.
 
-    finite_blaschke: const * prod (z - a_k) / (1 - conj(a_k) z), |a_k| < 1
-    atomic_singular: exp( sum mu_j (z + xi_j)/(z - xi_j) ), |xi_j| = 1, mu_j > 0
+    B(z) = prod (z - a_k) / (1 - conj(a_k) z) over ``zeros``, |a_k| < 1
+    S(z) = exp( sum mu_j (z + xi_j)/(z - xi_j) ) over ``points``, the
+           mass points (xi_j, mu_j), |xi_j| = 1, mu_j > 0
+
+    ``const`` is unimodular.  A record without points is a finite Blaschke
+    product; ``is_monomial`` marks theta = const z^n (n >= 1 zeros, all at
+    the origin, no points), set once: ``zeros`` is a read-only array and
+    ``points`` a tuple of (xi, mu) pairs.  Build through ``blaschke``,
+    ``monomial`` and ``atomic``, which check their arguments; ``product``
+    concatenates zeros and points and multiplies the constants.  Mass
+    points are evaluation-only: ``polynomials`` and ``as_symbol`` raise
+    CoefficientError on them.
     """
 
-    __slots__ = ("kind", "zeros", "const", "points", "factors", "_samples")
+    __slots__ = ("const", "zeros", "points", "is_monomial", "_samples")
 
-    def __init__(self, kind, zeros=None, const=1.0, points=None, factors=None):
-        self.kind = kind
+    def __init__(self, const=1.0, zeros=(), points=()):
+        self.const = complex(const)
+        self.zeros = np.array(zeros, dtype=complex)
+        self.zeros.flags.writeable = False
+        self.points = tuple(points)
+        self.is_monomial = bool(self.zeros.size and not self.zeros.any()
+                                and not self.points)
         self._samples = {}
-        if kind == "finite_blaschke":
-            zeros = np.asarray(zeros, dtype=complex)
-            if zeros.size == 0:
-                raise ValueError("a Blaschke factor needs at least one zero")
-            if np.any(np.abs(zeros) > 1.0 - TAU_DISC):
-                raise ValueError("Blaschke zeros must lie inside the disc")
-            if abs(abs(const) - 1.0) > TAU_EVAL:
-                raise ValueError("Blaschke front constant must be unimodular")
-            self.zeros = zeros
-            self.const = complex(const)
-        elif kind == "atomic_singular":
-            pts = [(complex(xi), float(mu)) for xi, mu in points]
-            for xi, mu in pts:
-                if abs(abs(xi) - 1.0) > TAU_EVAL:
-                    raise ValueError("atomic mass points must sit on the circle")
-                if mu <= 0:
-                    raise ValueError("atomic masses must be positive")
-            self.points = pts
-        elif kind == "product":
-            self.factors = list(factors)
-            if not self.factors:
-                raise ValueError("empty inner product")
-        else:
-            raise ValueError(f"unknown inner kind {kind!r}")
 
     # ---------------------------------------------------------------- build
     @classmethod
     def blaschke(cls, zeros, const=1.0):
-        return cls("finite_blaschke", zeros=zeros, const=const)
+        zeros = np.asarray(zeros, dtype=complex)
+        if zeros.size == 0:
+            raise ValueError("a Blaschke factor needs at least one zero")
+        if np.any(np.abs(zeros) > 1.0 - TAU_DISC):
+            raise ValueError("Blaschke zeros must lie inside the disc")
+        if abs(abs(const) - 1.0) > TAU_EVAL:
+            raise ValueError("Blaschke front constant must be unimodular")
+        return cls(const, zeros)
 
     @classmethod
     def monomial(cls, n):
@@ -508,149 +509,117 @@ class InnerFunction:
 
     @classmethod
     def atomic(cls, points):
-        return cls("atomic_singular", points=points)
+        pts = [(complex(xi), float(mu)) for xi, mu in points]
+        if not pts:
+            raise ValueError("an atomic factor needs at least one mass point")
+        for xi, mu in pts:
+            if abs(abs(xi) - 1.0) > TAU_EVAL:
+                raise ValueError("atomic mass points must sit on the circle")
+            if mu <= 0:
+                raise ValueError("atomic masses must be positive")
+        return cls(points=pts)
 
     @classmethod
     def product(cls, factors):
-        return cls("product", factors=factors)
+        factors = list(factors)
+        if not factors:
+            raise ValueError("empty inner product")
+        const = 1.0 + 0j
+        for f in factors:
+            const *= f.const
+        return cls(const, np.concatenate([f.zeros for f in factors]),
+                   [p for f in factors for p in f.points])
 
     # ----------------------------------------------------------- evaluation
     def eval_at(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.kind == "finite_blaschke":
-            out = np.full(z.shape, self.const, dtype=complex)
-            for a in self.zeros:
-                out = out * (z - a) / (1.0 - np.conj(a) * z)
-            return out if out.shape else complex(out)
-        if self.kind == "atomic_singular":
-            s = np.zeros(z.shape, dtype=complex)
-            for xi, mu in self.points:
-                d = z - xi
-                if np.any(np.abs(d) < 1e-13):
-                    raise PoleError("atomic inner function at its mass point")
-                s = s + mu * (z + xi) / d
-            out = np.exp(s)
-            return out if out.shape else complex(out)
-        out = np.ones(z.shape, dtype=complex)
-        for f in self.factors:
-            out = out * f.eval_at(z)
+        out = np.full(z.shape, self.const, dtype=complex)
+        for a in self.zeros:
+            out = out * (z - a) / (1.0 - np.conj(a) * z)
+        if self.points:
+            out = out * np.exp(self._exponent(z))
         return out if out.shape else complex(out)
+
+    def _exponent(self, z):
+        """sum mu (z + xi) / (z - xi) over the mass points: S = exp of it."""
+        s = np.zeros(z.shape, dtype=complex)
+        for xi, mu in self.points:
+            d = z - xi
+            if np.any(np.abs(d) < 1e-13):
+                raise PoleError("atomic inner function at its mass point")
+            s = s + mu * (z + xi) / d
+        return s
 
     def derivative_at(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.kind == "finite_blaschke":
-            # product rule over factors; stable at the zeros themselves
-            facs = np.array([(z - a) / (1.0 - np.conj(a) * z)
-                             for a in self.zeros])
-            ders = np.array([(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
-                             for a in self.zeros])
-            out = np.zeros(z.shape, dtype=complex)
-            for j in range(len(self.zeros)):
-                rest = np.prod(np.delete(facs, j, axis=0), axis=0)
-                out = out + ders[j] * rest
-            out = self.const * out
-            return out if out.shape else complex(out)
-        if self.kind == "atomic_singular":
-            val = self.eval_at(z)
-            s = np.zeros(z.shape, dtype=complex)
-            for xi, mu in self.points:
-                s = s + mu * (-2.0 * xi) / (z - xi) ** 2
-            out = val * s
-            return out if out.shape else complex(out)
-        vals = [f.eval_at(z) for f in self.factors]
-        ders = [f.derivative_at(z) for f in self.factors]
+        # product rule over the Blaschke factors; stable at the zeros
+        facs = np.array([(z - a) / (1.0 - np.conj(a) * z)
+                         for a in self.zeros])
+        ders = np.array([(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
+                         for a in self.zeros])
         out = np.zeros(z.shape, dtype=complex)
-        for j in range(len(self.factors)):
-            term = ders[j]
-            for k, v in enumerate(vals):
-                if k != j:
-                    term = term * v
-            out = out + term
+        for j in range(len(self.zeros)):
+            rest = np.prod(np.delete(facs, j, axis=0), axis=0)
+            out = out + ders[j] * rest
+        out = self.const * out
+        if self.points:
+            # (B S)' = B' S + B S', with S' = S sum -2 mu xi / (z - xi)^2;
+            # S first, which raises PoleError at a mass point
+            S = np.exp(self._exponent(z))
+            ds = sum(mu * (-2.0 * xi) / (z - xi) ** 2
+                     for xi, mu in self.points)
+            out = (out + self.const * np.prod(facs, axis=0) * ds) * S
         return out if out.shape else complex(out)
 
     def sample(self, G):
-        """Values on the size-G dyadic grid.  On theta = const z^n (a
-        finite Blaschke product with every zero at 0) these are the exact
-        grid powers const z_{jn mod G}; ``eval_at`` keeps the factor
-        loop for points off the grid."""
-        if self.kind == "finite_blaschke" and not self.zeros.any():
+        """Values on the size-G dyadic grid.  On theta = const z^n
+        (``is_monomial``) these are the exact grid powers
+        const z_{jn mod G}; ``eval_at`` keeps the factor loop for points
+        off the grid."""
+        if self.is_monomial:
             n = self.zeros.size
             return memo(self._samples, G, lambda z: self.const * z[
                 np.arange(G) * n % G])
         return memo(self._samples, G, self.eval_at)
 
     def value_at_zero(self):
-        if self.kind == "finite_blaschke":
-            return complex(self.const * np.prod(-self.zeros))
-        if self.kind == "atomic_singular":
-            return complex(np.exp(-sum(mu for _, mu in self.points)))
-        v = 1.0
-        for f in self.factors:
-            v *= f.value_at_zero()
+        v = self.const * np.prod(-self.zeros)
+        if self.points:
+            v = v * np.exp(-sum(mu for _, mu in self.points))
         return complex(v)
 
     # ----------------------------------------------------------- structure
-    def degree(self):
-        if self.kind == "finite_blaschke":
-            return len(self.zeros)
-        if self.kind == "product":
-            if all(f.kind == "finite_blaschke" for f in self.factors):
-                return sum(f.degree() for f in self.factors)
-        raise ValueError("degree is defined for finite Blaschke products only")
-
-    def zeros_list(self):
-        if self.kind == "finite_blaschke":
-            return list(self.zeros)
-        if self.kind == "product":
-            out = []
-            for f in self.factors:
-                out.extend(f.zeros_list())
-            return out
-        return []
-
     def boundary_spectrum(self):
         """Circle points where the function cannot be continued analytically."""
-        if self.kind == "finite_blaschke":
-            return []
-        if self.kind == "atomic_singular":
-            return [xi for xi, _ in self.points]
-        out = []
-        for f in self.factors:
-            out.extend(f.boundary_spectrum())
-        return out
+        return [xi for xi, _ in self.points]
 
     def has_adc_at(self, lam):
         """Angular derivative / analytic continuation present at |lam| = 1."""
         lam = complex(lam)
-        for xi in self.boundary_spectrum():
-            if abs(lam - xi) <= 1e-12:
-                return False
-        return True
+        return not any(abs(lam - xi) <= 1e-12 for xi, _ in self.points)
+
+    def polynomials(self):
+        """(N, D) with theta = N / D, N = const prod (z - a_k) and
+        D = prod (1 - conj(a_k) z): coefficients in ascending powers, both
+        of length n + 1.  CoefficientError on mass points, which have no
+        polynomial form."""
+        if self.points:
+            raise CoefficientError(
+                "atomic singular inner functions have no coefficient form")
+        num = np.array([self.const], dtype=complex)
+        den = np.array([1.0], dtype=complex)
+        for a in self.zeros:
+            num = np.convolve(num, [-a, 1.0])
+            den = np.convolve(den, [1.0, -np.conj(a)])
+        return num, den
 
     def as_symbol(self):
         """Exact rational LaurentSymbol (finite Blaschke content only)."""
-        if self.kind == "finite_blaschke":
-            num = np.array([self.const], dtype=complex)
-            den = np.array([1.0], dtype=complex)
-            for a in self.zeros:
-                num = np.convolve(num, [-a, 1.0])
-                den = np.convolve(den, [1.0, -np.conj(a)])
-            return LaurentSymbol.rational(num, den)
-        if self.kind == "product":
-            parts = [f.as_symbol() for f in self.factors]
-            out = parts[0]
-            for p in parts[1:]:
-                out = out * p
-            return out
-        raise CoefficientError(
-            "atomic singular inner functions have no coefficient form")
+        return LaurentSymbol.rational(*self.polynomials())
 
     def __repr__(self):
-        if self.kind == "finite_blaschke":
-            return f"InnerFunction(blaschke, degree={len(self.zeros)})"
-        if self.kind == "atomic_singular":
-            return f"InnerFunction(atomic, masses={len(self.points)})"
-        return f"InnerFunction(product, factors={len(self.factors)})"
+        return (f"InnerFunction(degree={self.zeros.size}, "
+                f"masses={len(self.points)})")
 
 
 def difference_quotient(theta, lam, G):

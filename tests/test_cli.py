@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,21 @@ class TestRun:
         code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warn", ["default", "error"])
+    @pytest.mark.parametrize("theta", [
+        "mono(0)", "atomic([(2, 1)])", "atomic([])",
+        "blaschke([0.5]) * atomic([(1, 1)])"])
+    def test_bad_theta_exit_three(self, tmp_path, capsys, theta, warn):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(DEGENERATE.replace("mono(2)\nphi", f"{theta}\nphi"),
+                       encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            code = main(["run", "--scenario", str(bad),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert "error: line 3" in capsys.readouterr().err
 
     def test_missing_file_exit_three(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.scn")])

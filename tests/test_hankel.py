@@ -7,6 +7,7 @@ from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
                       SingularOperatorError, analytic_spectrum, block_w,
                       build_dualband, dualband_matrix, essential_spectrum,
                       hankel_norm, triangular_w_inverse)
+from dualband import dual_band
 from dualband.model_space import OperatorMatrix
 from dualband.shift_spectra import spectral_key
 
@@ -221,6 +222,21 @@ class TestTriangularInverse:
     def test_singular_diagonal_rejected(self):
         with pytest.raises(SingularOperatorError):
             triangular_w_inverse(nilpotent_space(), Z(1))
+
+    def test_reads_the_kept_block_form(self, monkeypatch):
+        builds = []
+        assemble = dual_band._block_assembly
+
+        def counting(space, g, G):
+            builds.append(G)
+            return assemble(space, g, G)
+
+        monkeypatch.setattr(dual_band, "_block_assembly", counting)
+        sp = blaschke_space()
+        g = LaurentSymbol.from_coeffs({0: 1.0, 1: 2.0, 2: -1.0})
+        block_w(sp, g)
+        triangular_w_inverse(sp, g)
+        assert builds == [None]
 
 
 class TestEssentialFormula:

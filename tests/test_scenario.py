@@ -89,14 +89,14 @@ class TestExpressions:
     def test_inner_mode(self):
         f = parse_expression("blaschke([0, 0.5])", mode="inner")
         assert isinstance(f, InnerFunction)
-        assert f.degree() == 2
+        assert f.zeros.size == 2 and not f.points
         f = parse_expression("atomic([(1, 1), (-1, 0.5)])", mode="inner")
-        assert f.kind == "atomic_singular"
+        assert f.zeros.size == 0
         assert len(f.points) == 2
 
     def test_inner_product(self):
         f = parse_expression("mono(1) * blaschke([0.5])", mode="inner")
-        assert f.kind == "product"
+        assert list(f.zeros) == [0.0, 0.5] and not f.is_monomial
 
     def test_unknown_name(self):
         with pytest.raises(ScenarioError, match="unknown"):
@@ -124,7 +124,7 @@ class TestSections:
         scn = parse_scenario_text(NILPOTENT)
         assert scn.name == "nilpotent"
         assert scn.realized
-        assert scn.theta.degree() == 2
+        assert scn.theta.zeros.size == 2
         assert scn.g.support() == (3, 3)
         assert scn.tasks == ("validate", "spectrum", "kernel", "factorize",
                              "resolvent", "norm")
@@ -157,7 +157,7 @@ class TestSections:
         text = NILPOTENT.replace("theta = mono(2)",
                                  "theta = mono(2)  # squared shift")
         scn = parse_scenario_text(text)
-        assert scn.theta.degree() == 2
+        assert scn.theta.zeros.size == 2
 
     def test_unknown_section(self):
         with pytest.raises(ScenarioError, match="line 2.*unknown section"):

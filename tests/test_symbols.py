@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dualband import CoefficientError, InnerFunction, LaurentSymbol, PoleError
+from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
+                      ModelSpaceBasis, PoleError, solve_theta_equals)
 from dualband.dual_band import build_dualband
 from dualband.symbols import (GRID_CAP, TAU_EVAL, TAU_ROOT,
                               analytic_project_values, choose_grid,
@@ -341,8 +342,8 @@ class TestInnerFunctions:
 
     def test_degree_and_zeros(self):
         th = InnerFunction.blaschke([0.0, 0.5])
-        assert th.degree() == 2
-        assert sorted(th.zeros_list(), key=abs) == [0.0, 0.5]
+        assert th.zeros.size == 2
+        assert sorted(th.zeros, key=abs) == [0.0, 0.5]
 
     def test_product_eval(self):
         th = InnerFunction.product([InnerFunction.monomial(1),
@@ -354,6 +355,34 @@ class TestInnerFunctions:
         th = InnerFunction.blaschke([0.3, -0.2 + 0.4j])
         vals = th.sample(128)
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
+
+
+MASSIVE = {
+    "atomic": lambda: InnerFunction.atomic([(1.0, 1.0)]),
+    "blaschke-atomic": lambda: InnerFunction.product(
+        [InnerFunction.blaschke([0.5]), InnerFunction.atomic([(1.0, 1.0)])]),
+    # every zero at the origin, yet not theta = c z^n
+    "monomial-atomic": lambda: InnerFunction.product(
+        [InnerFunction.monomial(2), InnerFunction.atomic([(-1.0, 0.5)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASSIVE))
+class TestMassPointsRefused:
+    def test_not_monomial(self, name):
+        assert not MASSIVE[name]().is_monomial
+
+    def test_no_model_space_basis(self, name):
+        with pytest.raises(ValueError, match="finite Blaschke"):
+            ModelSpaceBasis(MASSIVE[name]())
+
+    def test_no_symbol(self, name):
+        with pytest.raises(CoefficientError):
+            MASSIVE[name]().as_symbol()
+
+    def test_no_closed_form_roots(self, name):
+        with pytest.raises(CoefficientError):
+            solve_theta_equals(MASSIVE[name](), 0.3)
 
 
 class TestGrids:
