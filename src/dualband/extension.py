@@ -17,10 +17,14 @@ of the block Toeplitz operator, project back, detect range membership,
 pass to adjoint kernels by the reflection x -> conj(z) * conj(x), and
 invert through it.
 
-Layout: a symbol is one row literal (``MatrixSymbol.rows``), with a
-number for each entry that is constant on the grid.  A vector of the
-extension is one (4, .) stack, grid samples or an analytic coefficient
-window, and every Fourier transform takes the whole stack in one call.
+Layout: a symbol is one row literal, with a number for each entry that
+is constant on the grid.  ``kernel_lift`` and ``kernel_project`` use the
+literal as it is and apply it over its eight live entries
+(``matsym.apply_rows``); ``build_G`` stacks it into a MatrixSymbol for
+the finite sections, the adjoint maps and other whole-stack users.  A
+vector of the extension is one (4, .) stack, grid samples or an
+analytic coefficient window, and every Fourier transform takes the
+whole stack in one call.
 Dual-band coordinates [first band | second band] pass to and from their
 (2, G) band samples only through ``DualBandSpace.synth_bands`` and
 ``DualBandSpace.project_bands``.
@@ -45,7 +49,7 @@ import numpy as np
 
 from .dual_band import dualband_matrix
 from .errors import CutoffError, NonKernelInputError, SingularOperatorError
-from .matsym import MatrixSymbol
+from .matsym import MatrixSymbol, apply_rows
 from .symbols import fft_freqs, grid_fft, grid_ifft, grid_points
 
 # antilinear reflection bookkeeping: columns of the inverse-conjugate
@@ -65,14 +69,21 @@ def build_G(space, g=None, lam=None, G=None):
     With g: rows (tb,0,0,0), (0,tb,0,0), (g, g*fw, th, 0), (g*bw, g, 0, th).
     With lam: the shift form ``split_form_symbol`` of z - lam.
     """
+    G = G or space.extension_grid(g)
+    return MatrixSymbol.rows(G, _extension_rows(space, g, lam, G))
+
+
+def _extension_rows(space, g, lam, G):
+    """The row literal that ``build_G`` stacks."""
     if (g is None) == (lam is None):
         raise ValueError("pass exactly one of g or lam")
-    G = G or space.extension_grid(g)
+    th = space.theta.sample(G)
     if g is None:
-        return split_form_symbol(space, grid_points(G) - complex(lam))
+        return _split_form_rows(th, grid_points(G) - complex(lam),
+                                *space.split_values(G))
     gv = g.sample(G)
     fw, bw = (r.sample(G) for r in space.ratios)
-    return _extension_symbol(space.theta.sample(G), gv, gv * fw, gv * bw)
+    return _extension_symbol(th, gv, gv * fw, gv * bw)
 
 
 def split_form_symbol(space, gv):
@@ -82,20 +93,25 @@ def split_form_symbol(space, gv):
     g*aminus*tb, which requires the split.
     """
     G = gv.size
-    th = space.theta.sample(G)
+    return MatrixSymbol.rows(G, _split_form_rows(
+        space.theta.sample(G), gv, *space.split_values(G)))
+
+
+def _split_form_rows(th, gv, Apb, Am):
+    """Row literal of ``split_form_symbol`` from the samples of theta,
+    g, conj(aplus) and aminus."""
     tb = np.conj(th)
-    Apb, Am = space.split_values(G)
     return _extension_symbol(th, gv, gv * Apb * tb, gv * Am * tb)
 
 
 def _extension_symbol(th, gv, off12, off21):
     tb = np.conj(th)
-    return MatrixSymbol.rows(th.size, [
+    return [
         [tb, 0, 0, 0],
         [0, tb, 0, 0],
         [gv, off12, th, 0],
         [off21, gv, 0, th],
-    ])
+    ]
 
 
 @dataclass
@@ -133,7 +149,13 @@ def rh_residual(Gsym, vec):
     largest component value of || P+ (G F) ||, NaN when one is NaN.
     """
     F = vec.values_on(Gsym.grid) if isinstance(vec, ExtensionVector) else vec
-    c = grid_fft(Gsym.matvec_values(F))[:, fft_freqs(Gsym.grid) >= 0]
+    return _analytic_energy(Gsym.values, F)
+
+
+def _analytic_energy(rows, F):
+    """``rh_residual`` of the symbol rows (a literal or a stack) on the
+    (4, G) samples F."""
+    c = grid_fft(apply_rows(rows, F))[:, fft_freqs(F.shape[-1]) >= 0]
     # one sum per component: a sum along the stack's axis changes the bits
     return float(np.max([np.sqrt(np.sum(np.abs(ci) ** 2)) for ci in c]))
 
@@ -148,11 +170,11 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     """
     while True:
         Gq = G or space.extension_grid(g, n_ext)
-        Gsym = build_G(space, g=g, lam=lam, G=Gq)
+        rows = _extension_rows(space, g, lam, Gq)
         f1, f2 = space.synth_bands(coords, Gq)
-        v = Gsym.values
-        r34 = v[0, 0] * (v[2:, 0] * f1 + v[2:, 1] * f2)
-        comps = _window(np.vstack([f1, f2, r34]), n_ext)
+        tb = rows[0][0]
+        r34 = [tb * (rows[i][0] * f1 + rows[i][1] * f2) for i in (2, 3)]
+        comps = _window(np.vstack([f1, f2, *r34]), n_ext)
         comps[2:] = -comps[2:]
         vec = ExtensionVector(comps, n_ext)
         if np.sqrt(vec.window_tail()) <= TOL_TAIL:
@@ -161,7 +183,7 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
             raise CutoffError(
                 f"coefficient window will not close: tail {vec.window_tail():.3e}")
         n_ext *= 2
-    vec.meta["rh_residual"] = rh_residual(Gsym, vec)
+    vec.meta["rh_residual"] = _analytic_energy(rows, vec.values_on(Gq))
     vec.meta["grid"] = Gq
     return vec
 
@@ -173,13 +195,13 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
     formula is only meaningful on the kernel.
     """
     Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
-    Gsym = build_G(space, g=g, lam=lam, G=Gq)
-    res = rh_residual(Gsym, vec)
+    F = vec.values_on(Gq)
+    res = _analytic_energy(_extension_rows(space, g, lam, Gq), F)
     scale = max(vec.norm(), 1e-300)
     if not res <= tol * scale:      # a NaN residual fails too
         raise NonKernelInputError(
             f"input has kernel residual {res:.3e} (scale {scale:.3e})")
-    return space.project_bands(vec.values_on(Gq))
+    return space.project_bands(F)
 
 
 # --------------------------------------------------------------------------

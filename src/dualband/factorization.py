@@ -43,6 +43,14 @@ H = (0, 0, h1, h2) solves as Y = conj(theta) (P[:, 2] h1 + P[:, 3] h2);
 Y is projected onto the analytic half, X is applied, and the first two
 components are read off.
 
+Layout: the canonical branch formulas are written once, as row literals
+(each entry a number or a length-G array, as in ``MatrixSymbol.rows``).
+``canonical_factors`` stacks them for verification.  ``resolvent_apply``
+without given factors reads only the entries it needs from the literals
+and builds no (4, 4, G) stack; with given factors it reads the stacks by
+the same [i][j] indexing, to the same bits.  The R family and the L^2
+factors are stacked where they are built.
+
 Condition numbers: ``verify_factorization``'s ``plus_cond`` and
 ``resolvent_apply``'s ``cond_minus`` hold the Frobenius bound of
 :mod:`dualband.matsym` (``frobenius_cond``),
@@ -74,9 +82,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenvalueEncounteredError, NoAdcError
-from .extension import build_G, split_form_symbol
-from .matsym import (MatrixSymbol, frobenius_cond, monomial_diag_values,
-                     sq_frobenius)
+from .extension import _split_form_rows, split_form_symbol
+from .matsym import (MatrixSymbol, apply_rows, frobenius_cond,
+                     monomial_diag_values, sq_frobenius)
 from .shift_spectra import _region, delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
                       difference_quotient, grid_points)
@@ -128,6 +136,9 @@ def build_g_tilde(space, R, G=None):
 # canonical factorization of the shift symbol
 # --------------------------------------------------------------------------
 
+_FACTORS = ("symbol", "minus", "plus_inverse", "plus")
+
+
 def canonical_factors(space, lam, G=None):
     """Bounded canonical factorization at lam off the point spectrum.
 
@@ -138,6 +149,15 @@ def canonical_factors(space, lam, G=None):
     determinant at the eigenvalue floor aborts: no bounded canonical
     factorization exists there.
     """
+    res = _canonical_literals(space, lam, G)
+    for name in _FACTORS:
+        setattr(res, name, MatrixSymbol.rows(res.grid, getattr(res, name)))
+    return res
+
+
+def _canonical_literals(space, lam, G):
+    """The branch formulas of ``canonical_factors``: its result with the
+    four symbols of ``_FACTORS`` still row literals, not stacked."""
     lam = complex(lam)
     G = G or space.extension_grid()
     c = shift_constants(space)
@@ -194,74 +214,74 @@ def canonical_factors(space, lam, G=None):
         g41 = (zl / c.disc) * (Am - c.beta
                                + c.kappa * c.tbar * Am * (tb - c.tbar))
         g43 = b * zl * (Am * tb - c.beta * c.tbar)
-        plus_inv = MatrixSymbol.rows(G, [
+        plus_inv = [
             [th + c0, prof, b, 0],
             [cc, 0, th + c0, prof],
             [-zl, lower2, 0, 0],
             [0, 0, -zl, lower4],
-        ])
-        minus = MatrixSymbol.rows(G, [
+        ]
+        minus = [
             [1 + c0 * tb, profc, b * tb, 0],
             [cc * tb, 0, 1 + c0 * tb, profc],
             [g31, m32, g33, m34],
             [g41, m42, g43, m44],
-        ])
+        ]
         if region == "inside":
             e = c0 + thl
             D = b * cc - e * e
             d = (e / D) * (c0 + th) - b * cc / D
-            plus = MatrixSymbol.rows(G, [
+            plus = [
                 [-e / D, b / D, (-e / D) * prof, (b / D) * prof],
                 [(e / D) * zl, (-b / D) * zl, d, (-b / D) * zlp],
                 [cc / D, -e / D, (cc / D) * prof, (-e / D) * prof],
                 [(-cc / D) * zl, (e / D) * zl, (-cc / D) * zlp, d],
-            ])
+            ]
         else:
             f = 1 + c0 * tau
             D = b * cc * tau * tau - f * f
             d = b * cc * tau / D - (f / D) * (c0 + th)
-            plus = MatrixSymbol.rows(G, [
+            plus = [
                 [-tau * f / D, b * tau * tau / D, (f / D) * prof,
                  (-b * tau / D) * prof],
                 [(-f / D) * zl, (b * tau / D) * zl, d, (b / D) * zlp],
                 [cc * tau * tau / D, -tau * f / D, (-cc * tau / D) * prof,
                  (f / D) * prof],
                 [(cc * tau / D) * zl, (-f / D) * zl, (cc / D) * zlp, d],
-            ])
+            ]
         kind = "canonical-generic"
     else:
         a = c.alpha
         tbar = c.tbar
-        plus_inv = MatrixSymbol.rows(G, [
+        plus_inv = [
             [-a * (1 - th * tbar), prof, -a * tbar, 0],
             [th, 0, 1, prof],
             [-tbar * a * zl, lower2, 0, 0],
             [-zl, 0, 0, lower4],
-        ])
-        minus = MatrixSymbol.rows(G, [
+        ]
+        minus = [
             [-a * (tb - tbar), profc, -a * tbar * tb, 0],
             [1, 0, tb, profc],
             [(Apb - a) * zl, m32, (Apb * tb - a * tbar) * zl, m34],
             [-a * Am * (tb - tbar) * zl, m42,
              zl * (1 - a * tbar * Am * tb), m44],
-        ])
+        ]
         s2 = a * tbar * tbar
         if region == "inside":
             h = 2 * tbar * thl - 1
             d = (-tbar / h) * th - (tbar * thl - 1) / h
             u = (tbar * thl - 1) / h
-            plus = MatrixSymbol.rows(G, [
+            plus = [
                 [1 / (a * h), tbar / h, prof / (a * h), (tbar / h) * prof],
                 [(-tbar / h) * zl, (-s2 / h) * zl, d, (-s2 / h) * zlp],
                 [-thl / (a * h), u, (-thl / (a * h)) * prof, u * prof],
                 [(-1 / (a * h)) * zl, (-tbar / h) * zl, (-1 / (a * h)) * zlp,
                  d],
-            ])
+            ]
         else:
             k = tau - 2 * tbar
             d = (-tbar / k) * th + (tau - tbar) / (tau * k)
             u = (tau - tbar) / k
-            plus = MatrixSymbol.rows(G, [
+            plus = [
                 [-tau / (a * k), -tau * tbar / k, prof / (a * k),
                  (tbar / k) * prof],
                 [(-tbar / k) * zl, (-s2 / k) * zl, d,
@@ -270,10 +290,10 @@ def canonical_factors(space, lam, G=None):
                  (-u / tau) * prof],
                 [(-1 / (a * k)) * zl, (-tbar / k) * zl,
                  (-1 / (a * tau * k)) * zlp, d],
-            ])
+            ]
         kind = "canonical-degenerate"
 
-    symbol = build_G(space, lam=lam, G=G)
+    symbol = _split_form_rows(th, zl, Apb, Am)
     res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv, plus,
                               (0, 0, 0, 0), complex(scale), warnings)
     res.extras = {"region": region, "disc": complex(c.disc),
@@ -516,40 +536,48 @@ def resolvent_apply(space, lam, h_coords, G=None, factors=None):
 
     Lifts h into the extension as H = (0, 0, h1, h2), solves M Y = H as
     Y = P G^{-1} H = conj(theta) (P[:, 2] h1 + P[:, 3] h2), projects Y
-    onto the analytic half, applies the stored plus inverse X and reads
-    the band coordinates back off the first two components.  The minus
+    onto the analytic half, applies rows 0 and 1 of the stored plus
+    inverse X and reads the band coordinates back off them.  The minus
     factor's condition bound takes M^{-1} = P G^{-1} one column at a
     time, with G^{-1} = [[theta I, 0], [-C, conj(theta) I]] and C the
     symbol's lower-left block.  ``factors`` is
     ``canonical_factors(space, lam, G)`` when the caller already holds
-    it; otherwise it is built here.  Returns (coords, diagnostics).
+    it; otherwise the factors are built here as row literals and never
+    stacked.  Both read the entries by [i][j] with the same arithmetic,
+    so they give the same bits.  Returns (coords, diagnostics).
     """
-    res = canonical_factors(space, lam, G=G) if factors is None else factors
-    if res.lam != complex(lam) or (G and res.grid != G):
-        raise ValueError(
-            f"factors at lam={res.lam}, G={res.grid} do not match "
-            f"lam={complex(lam)}, G={G}")
+    if factors is None:
+        res = _canonical_literals(space, lam, G)
+        S, M, X, P = (getattr(res, name) for name in _FACTORS)
+    else:
+        res = factors
+        if res.lam != complex(lam) or (G and res.grid != G):
+            raise ValueError(
+                f"factors at lam={res.lam}, G={res.grid} do not match "
+                f"lam={complex(lam)}, G={G}")
+        S, M, X, P = (getattr(res, name).values for name in _FACTORS)
     Gq = res.grid
     h = np.asarray(h_coords, dtype=complex)
     h1, h2 = space.synth_bands(h, Gq)
     th = space.theta.sample(Gq)
-    P = res.plus.values
-    C = res.symbol.values[2:, :2]
+    tb = np.conj(th)
 
-    right = np.conj(th) * P[:, 2:]              # columns 2, 3 of M^{-1}
-    Y = right[:, 0] * h1 + right[:, 1] * h2
+    right = [[tb * P[i][2], tb * P[i][3]]      # columns 2, 3 of M^{-1}
+             for i in range(4)]
+    Y = np.array([r2 * h1 + r3 * h2 for r2, r3 in right])
     inv_sq = sq_frobenius(right)
     for j in (0, 1):                            # columns 0, 1 of M^{-1}
-        inv_sq += sq_frobenius(th * P[:, j] - P[:, 2] * C[0, j]
-                               - P[:, 3] * C[1, j])
-    cond = frobenius_cond("solve", sq_frobenius(res.minus.values), inv_sq)
+        inv_sq = inv_sq + sq_frobenius(
+            [[th * P[i][j] - P[i][2] * S[2][j] - P[i][3] * S[3][j]]
+             for i in range(4)])
+    cond = frobenius_cond("solve", sq_frobenius(M), inv_sq)
     warnings = list(res.warnings)
     if cond * np.finfo(float).eps > COND_WARN:
         warnings.append(
             f"minus factor condition bound {cond:.3e} times eps exceeds "
             f"{COND_WARN:.0e}; lam is near the point spectrum")
-    F = res.plus_inverse.matvec_values(analytic_project_values(Y))
-    coords = space.project_bands(F)
+    coords = space.project_bands(
+        apply_rows(X[:2], analytic_project_values(Y)))
 
     hn = max(float(np.linalg.norm(h)), 1e-300)
     residual = float(np.linalg.norm(

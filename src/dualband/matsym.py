@@ -4,10 +4,22 @@ Factor verification, pointwise products and Riesz projections all work
 on sampled entries; per-entry Fourier data comes from the grid FFT, so a
 MatrixSymbol is only as band-limited as its construction grid allows.
 
-Symbols are written as row literals (``MatrixSymbol.rows``): each entry
-is a length-G sample array or a number, and a number is that constant on
-the whole grid.  A number 0 is therefore an entry that is exactly zero
-on the grid, which ``matmul`` skips as a structural zero.
+Symbols are written as row literals: each entry is a length-G sample
+array or a number, and a number is that constant on the whole grid.  A
+number 0 is therefore an entry that is exactly zero on the grid.  The
+shift paths (``factorization.resolvent_apply``, ``extension.kernel_lift``
+and ``kernel_project``) keep their closed-form symbols as literals and
+read only the entries they need; ``MatrixSymbol.rows`` stacks a literal
+into the (r, c, G) layout where whole-stack algebra runs, which is
+factor verification and the other public users of a MatrixSymbol.
+
+One routine applies a symbol to a stack of sample vectors,
+``apply_rows``: entry by entry over whole sample rows, skipping every
+number 0 of a literal.  ``MatrixSymbol.matvec_values`` is that routine
+on the stack.  One routine sums pointwise squared Frobenius norms,
+``sq_frobenius``: a literal entry by entry in row-major order, a stack
+by one numpy sum over its leading axes, which adds in the same order,
+so a literal and its stack give the same bits.
 
 The factor path takes no pointwise inverse: every factorization in
 :mod:`dualband.factorization` stores its plus factor P = X^{-1} in
@@ -32,13 +44,13 @@ Pointwise inverses and solves of a general symbol
 is the one caller of ``pointwise_inverse`` in the package;
 ``solve_values`` has none.
 
-Products (``matmul``) and determinants (``det_values``) work entry by
-entry on whole length-G sample rows of the (r, c, G) layout, with no
-per-point LAPACK call.  A product skips every term whose factor entry is
-exactly zero on the grid (the extension and factor symbols have 2 to 8
-such entries of 16), which changes no bit of the sum.  A determinant is
-the Laplace expansion into complementary 2 x 2 minors of rows 0-1 and
-2-3.
+Products (``matmul``) and determinants (``det_values``) of stacks work
+entry by entry on whole length-G sample rows of the (r, c, G) layout,
+with no per-point LAPACK call.  A product skips every term whose factor
+entry is exactly zero on the grid (the extension and factor symbols have
+2 to 8 such entries of 16), which changes no bit of the sum.  A
+determinant is the Laplace expansion into complementary 2 x 2 minors of
+rows 0-1 and 2-3.
 """
 
 from __future__ import annotations
@@ -105,10 +117,7 @@ class MatrixSymbol:
 
     def matvec_values(self, vec_values):
         """Apply pointwise to a stacked vector of samples (c, G)."""
-        vec_values = np.asarray(vec_values, dtype=complex)
-        a = np.moveaxis(self.values, 2, 0)              # (G, r, c)
-        v = np.moveaxis(vec_values, 1, 0)[..., None]    # (G, c, 1)
-        return np.moveaxis((a @ v)[..., 0], 0, 1)
+        return apply_rows(self.values, vec_values)
 
     def _conditioned(self, what, cond_cap):
         """The (G, c, r) stack of pointwise inverses and its
@@ -167,6 +176,31 @@ class MatrixSymbol:
         return float(np.max(np.abs(self.values - other.values)))
 
 
+def _is_zero(entry):
+    """True for a number 0, the structural zero of a row literal."""
+    return np.ndim(entry) == 0 and entry == 0
+
+
+def apply_rows(rows, vec_values):
+    """Apply a row literal, or the rows of an (r, c, G) stack, pointwise
+    to a stacked vector of samples (c, G); returns the (r, G) stack.
+
+    out[i] sums rows[i][j] * vec[j] in increasing j over the live
+    entries: a number 0 is skipped even where vec[j] is NaN.  Every
+    column of the extension and factor symbols has a live entry, so a
+    NaN in any component still reaches the output.
+    """
+    vec_values = np.asarray(vec_values, dtype=complex)
+    out = np.zeros((len(rows), vec_values.shape[-1]), dtype=complex)
+    for i, row in enumerate(rows):
+        terms = [(e, v) for e, v in zip(row, vec_values) if not _is_zero(e)]
+        if terms:
+            np.multiply(*terms[0], out=out[i])
+        for e, v in terms[1:]:
+            out[i] += e * v
+    return out
+
+
 def _live_entries(values):
     """Rows of flags marking the entries of an (r, c, G) stack that are
     not exactly zero on the whole grid, or None when a sample is NaN or
@@ -178,12 +212,23 @@ def _live_entries(values):
     return values.any(axis=2).tolist()
 
 
-def sq_frobenius(values):
-    """Pointwise squared Frobenius norm of an (r, c, G) stack, or of a
-    (r, G) column: the sum of |entry|^2 over every axis but the grid."""
+def sq_frobenius(rows):
+    """Pointwise squared Frobenius norm of a row literal or an (r, c, G)
+    stack: the sum of |entry|^2 in row-major entry order.  A stack takes
+    one numpy sum over its leading axes, which adds in that order; a
+    literal adds entry by entry, so it gives the same bits as its stack.
+    In a literal a number stays a number and a number 0 adds nothing;
+    the result is a number when every entry is one."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (values.real ** 2 + values.imag ** 2).sum(
-            axis=tuple(range(values.ndim - 1)))
+        if isinstance(rows, np.ndarray):
+            return (rows.real ** 2 + rows.imag ** 2).sum(
+                axis=tuple(range(rows.ndim - 1)))
+        total = 0
+        for row in rows:
+            for e in row:
+                if not _is_zero(e):
+                    total = total + (e.real * e.real + e.imag * e.imag)
+        return total
 
 
 def frobenius_cond(what, sq_norms, sq_inverse_norms, cond_cap=1e12):
@@ -193,7 +238,7 @@ def frobenius_cond(what, sq_norms, sq_inverse_norms, cond_cap=1e12):
     SingularOperatorError on a non-finite bound (NaN or inf entries,
     overflowing norms) and when the bound exceeds cond_cap."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cond = float(np.sqrt(sq_norms.max() * sq_inverse_norms.max()))
+        cond = float(np.sqrt(np.max(sq_norms) * np.max(sq_inverse_norms)))
     if not np.isfinite(cond) or cond > cond_cap:
         raise SingularOperatorError(
             f"pointwise {what} is ill conditioned: cond={cond:.3e}")
@@ -206,5 +251,5 @@ def monomial_diag_values(powers, G):
     return [z ** int(k) for k in powers]
 
 
-__all__ = ["MatrixSymbol", "frobenius_cond", "monomial_diag_values",
-           "sq_frobenius"]
+__all__ = ["MatrixSymbol", "apply_rows", "frobenius_cond",
+           "monomial_diag_values", "sq_frobenius"]

@@ -155,8 +155,11 @@ def _check_den(den, root_check=True):
             raise CoefficientError(
                 f"the roots of a degree-{den.size - 1} denominator cannot "
                 "be located in double precision")
-        if np.any(np.abs(moduli - 1.0) <= TAU_ROOT):
-            raise PoleError("denominator has a root on the unit circle")
+        gap = float(np.min(np.abs(moduli - 1.0)))
+        if gap <= TAU_ROOT:
+            raise PoleError(
+                f"denominator has a root {gap:.1e} from the unit circle, "
+                f"within TAU_ROOT = {TAU_ROOT:.0e}")
     return den
 
 

@@ -7,7 +7,8 @@ from dualband import (InnerFunction, LaurentSymbol, NonKernelInputError,
                       SingularOperatorError, adjoint_kernel_map, build_G,
                       build_dualband, dualband_matrix, inverse_via_extension,
                       kernel_lift, kernel_project, point_spectrum, range_test)
-from dualband.extension import (_window, adjoint_symbol_identity_residual,
+from dualband.extension import (_analytic_energy, _extension_rows, _window,
+                                adjoint_symbol_identity_residual,
                                 finite_section_matrix, rh_residual)
 from dualband.symbols import fft_freqs, grid_fft, grid_ifft
 
@@ -179,12 +180,18 @@ class TestStacks:
                     grid_fft(Gsym.values[i, j])[idx]
         assert same_bits(finite_section_matrix(Gsym, n_ext), want)
 
-    def test_nan_vector_is_not_a_kernel_vector(self):
+    @pytest.mark.parametrize("comp", range(4))
+    def test_nan_vector_is_not_a_kernel_vector(self, comp):
+        # every column of the symbol has a live entry, so a NaN in any
+        # component reaches the residual
         sp = nilpotent_space()
         vec = kernel_lift(sp, [0, 1, 0, 0], g=Z(1))
-        vec.comps[2, 3] = np.nan
+        vec.comps[comp, 3] = np.nan
         Gsym = build_G(sp, g=Z(1), G=vec.meta["grid"])
         assert np.isnan(rh_residual(Gsym, vec))
+        # the literal skips its number-0 entries, so fewer rows turn NaN
+        rows = _extension_rows(sp, Z(1), None, Gsym.grid)
+        assert np.isnan(_analytic_energy(rows, vec.values_on(Gsym.grid)))
         with pytest.raises(NonKernelInputError):
             kernel_project(sp, vec, g=Z(1))
 

@@ -9,13 +9,14 @@ import pytest
 
 from dualband import (EigenvalueEncounteredError, InnerFunction,
                       LaurentSymbol, MissingDecompositionError, NoAdcError,
-                      SingularOperatorError, build_dualband, build_space,
-                      canonical_factors,
-                      dualband_matrix, hminus_split, l2_factors,
+                      SingularOperatorError, build_G, build_dualband,
+                      build_space, canonical_factors, dualband_matrix,
+                      hminus_split, kernel_lift, kernel_project, l2_factors,
                       meromorphic_factors, parse_scenario, point_spectrum,
                       resolvent_apply, verify_factorization)
 from dualband import cli
 from dualband.factorization import COND_WARN
+from dualband.matsym import MatrixSymbol
 from dualband.symbols import TAU_ALIAS, band_energy
 
 Z = LaurentSymbol.monomial
@@ -318,6 +319,27 @@ class TestResolventWithFactors:
         assert np.array_equal(got, want)
         assert gdiag == wdiag
 
+    def test_same_bits_on_every_canonical_branch(self):
+        # the literal path (no factors) and the stacked one read the same
+        # entries with the same arithmetic
+        seen = set()
+        for path in SCENARIOS:
+            scn, sp = scenario_case(path)
+            rng = np.random.default_rng(13)
+            h = rng.standard_normal(2 * sp.n) + \
+                1j * rng.standard_normal(2 * sp.n)
+            for lam in (*scn.lambdas, *PLUS_LAMBDAS):
+                res = canonical_factors(sp, lam)
+                got, gdiag = resolvent_apply(sp, lam, h, factors=res)
+                want, wdiag = resolvent_apply(sp, lam, h)
+                assert got.tobytes() == want.tobytes(), (scn.name, lam)
+                assert gdiag["cond_minus"] == wdiag["cond_minus"], lam
+                seen.add((res.kind, res.extras["region"]))
+        assert seen == {(kind, region)
+                        for kind in ("canonical-generic",
+                                     "canonical-degenerate")
+                        for region in ("inside", "outside")}
+
     def test_refuses_factors_of_another_point(self):
         sp = twist_space()
         res = canonical_factors(sp, 0.3)
@@ -439,6 +461,44 @@ class TestProfilesNeedNoFloor:
                 prof = res.plus_inverse.values[0, 1]
                 assert band_energy(prof) <= TAU_ALIAS
         assert regions == {"inside", "outside"}
+
+
+class TestNoStack:
+    """The shift paths keep the closed-form symbols as row literals: a
+    resolvent solve without factors and a kernel round trip stack none
+    of them."""
+
+    def count_stacks(self, monkeypatch):
+        built = []
+        real = MatrixSymbol.__init__
+
+        def counting(sym, values):
+            built.append(np.shape(values))
+            real(sym, values)
+        monkeypatch.setattr(MatrixSymbol, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("lam", (0.3, 2.0))
+    def test_resolvent_builds_no_stack(self, monkeypatch, lam):
+        sp = twist_space()
+        built = self.count_stacks(monkeypatch)
+        canonical_factors(sp, lam)
+        assert len(built) == 4          # the counter sees the stacked path
+        built.clear()
+        resolvent_apply(sp, lam, np.array([1.0, 0.5j, -0.25, 2.0]))
+        assert built == []
+
+    def test_kernel_round_trip_builds_no_stack(self, monkeypatch):
+        sp = twist_space()
+        p = point_spectrum(sp, cross_check=False).points[0]
+        built = self.count_stacks(monkeypatch)
+        vec = kernel_lift(sp, p.coords[0], lam=p.lam)
+        back = kernel_project(sp, vec, lam=p.lam)
+        assert built == []
+        assert np.linalg.norm(back - p.coords[0]) <= \
+            1e-10 * np.linalg.norm(p.coords[0])
+        build_G(sp, lam=p.lam, G=vec.meta["grid"])
+        assert len(built) == 1          # the counter sees a stack
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dualband import SingularOperatorError
 from dualband.factorization import (canonical_factors, hminus_split,
                                     meromorphic_factors, resolvent_apply,
                                     verify_factorization)
-from dualband.matsym import MatrixSymbol, _live_entries
+from dualband.matsym import MatrixSymbol, _live_entries, apply_rows
 from dualband.scenario import build_space, parse_scenario
 from dualband.symbols import fft_freqs, grid_fft
 
@@ -245,6 +245,30 @@ class TestRows:
             want = stacked_matmul(sym.values, b)
         assert np.isnan(want[:, 1, 4]).all()
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+class TestApply:
+    """``apply_rows``, the one apply routine, on a literal and a stack."""
+
+    def test_literal_matches_its_stack(self):
+        rng = np.random.default_rng(5)
+        G = 64
+        a, b = (rng.standard_normal(G) + 1j * rng.standard_normal(G)
+                for _ in range(2))
+        lit = [[a, 0, 2.5], [0, b, -1j]]
+        v = rng.standard_normal((3, G)) + 1j * rng.standard_normal((3, G))
+        sym = MatrixSymbol.rows(G, lit)
+        got = apply_rows(lit, v)
+        assert same_bits(got, sym.matvec_values(v))
+        want = np.einsum("ijg,jg->ig", sym.values, v)
+        assert np.max(np.abs(got - want)) <= \
+            4 * np.finfo(float).eps * np.max(np.abs(want))
+
+    def test_number_zero_is_skipped_against_nan(self):
+        v = np.ones((2, 8), dtype=complex)
+        v[0, 3] = np.nan
+        got = apply_rows([[1.0, 0], [0, 2.0]], v)
+        assert np.isnan(got[0, 3]) and np.isfinite(got[1]).all()
 
 
 def hadamard_bound(values):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dualband import (InnerFunction, LaurentSymbol, ModelSpaceBasis,
-                      ctheta_matrix, tto_matrix)
-from dualband.symbols import grid_points
+                      PoleError, ctheta_matrix, tto_matrix)
+from dualband.symbols import TAU_ROOT, grid_points
 
 
 def z_power_basis():
@@ -54,6 +54,24 @@ class TestBasis:
         for j in range(3):
             inner = e @ np.conj(th * z ** j) / G
             assert np.max(np.abs(inner)) < 1e-10
+
+
+class TestZeroNearTheCircle:
+    """blaschke accepts a zero up to TAU_DISC from the circle, but the
+    root check refuses a pole 1/conj(a) within TAU_ROOT of it; the
+    refusal names the distance, not a root on the circle."""
+
+    @pytest.mark.parametrize("gap, shown", ((1e-10, "1.0e-10"),
+                                            (5e-10, "5.0e-10")))
+    def test_refusal_names_the_distance(self, gap, shown):
+        with pytest.raises(PoleError) as err:
+            ModelSpaceBasis(InnerFunction.blaschke([1 - gap]))
+        assert f"root {shown} from the unit circle" in str(err.value)
+        assert f"TAU_ROOT = {TAU_ROOT:.0e}" in str(err.value)
+
+    def test_outside_tau_root_builds(self):
+        basis = ModelSpaceBasis(InnerFunction.blaschke([1 - 2e-9]))
+        assert basis.n == 1
 
 
 class TestProjection:
