@@ -8,6 +8,7 @@ are byte-identical apart from the timing block.
 """
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -83,11 +84,14 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # tasks
 #
-# Every task takes (space, scn, opts).  The factorize and resolvent tasks
-# also take ``factors``, one run's canonical factorizations
-# {lam: FactorizationResult} at the run's grid: the factorize task puts
-# each one it builds there, and the resolvent task solves with it instead
-# of building it again.
+# Every task takes (space, scn, opts).  Some also take a dict of one
+# run's results passed along (``_PASSED``): the factorize and resolvent
+# tasks take ``factors``, the canonical factorizations
+# {lam: FactorizationResult} at the run's grid, which the factorize task
+# fills and the resolvent task solves with instead of building them
+# again; the spectrum and kernel tasks take ``spectrum``, where the
+# spectrum task puts its point spectrum under "points" for the kernel
+# task to lift.
 
 def _task_validate(space, scn, opts):
     lim = _limit(opts, "validate")
@@ -118,9 +122,11 @@ def _task_validate(space, scn, opts):
     }
 
 
-def _task_spectrum(space, scn, opts):
+def _task_spectrum(space, scn, opts, spectrum=None):
     lim = _limit(opts, "spectrum")
     rep = point_spectrum(space)
+    if spectrum is not None:
+        spectrum["points"] = rep.points
     points = []
     violations = []
     for p in rep.points:
@@ -140,13 +146,15 @@ def _task_spectrum(space, scn, opts):
     }
 
 
-def _task_kernel(space, scn, opts):
+def _task_kernel(space, scn, opts, spectrum=None):
     lim = _limit(opts, "kernel")
-    rep = point_spectrum(space, cross_check=False)
+    points = (spectrum or {}).get("points")
+    if points is None:
+        points = point_spectrum(space, cross_check=False).points
     n_ext = opts.get("cutoff") or 128
     entries = []
     violations = []
-    for p in rep.points:
+    for p in points:
         for row in np.atleast_2d(p.coords):
             vec = kernel_lift(space, row, lam=p.lam, n_ext=n_ext)
             back = kernel_project(space, vec, lam=p.lam)
@@ -159,7 +167,7 @@ def _task_kernel(space, scn, opts):
             _check(violations, "extension residual", rh, lim, p.lam)
     out = {"ok": not violations, "violations": violations,
            "lifts": entries}
-    if not rep.points:
+    if not points:
         out["note"] = "empty point spectrum, nothing to lift"
     return out
 
@@ -170,8 +178,9 @@ def _task_factorize(space, scn, opts, factors=None):
     dlim = _limit(opts, "factorize_det")
     violations = []
     canonical = []
+    G = opts.get("grid") or space.extension_grid()
     for lam in scn.lambdas:
-        res = canonical_factors(space, lam, G=opts.get("grid"))
+        res = canonical_factors(space, lam, G=G)
         if factors is not None:
             factors[lam] = res
         chk = verify_factorization(res)
@@ -187,9 +196,10 @@ def _task_factorize(space, scn, opts, factors=None):
             _check(violations, key, chk[key], dlim, lam)
     meromorphic = []
     for R in scn.rfactors:
-        res = meromorphic_factors(space, R, G=opts.get("grid"))
+        GR = opts.get("grid") or space.extension_grid(R)
+        res = meromorphic_factors(space, R, G=GR)
         chk = verify_factorization(res)
-        _, _, split_res = hminus_split(space, R, G=opts.get("grid"))
+        _, _, split_res = hminus_split(space, R, G=GR)
         meromorphic.append({"r": repr(R), "kind": res.kind, "grid": res.grid,
                             "split_residual": split_res, **chk})
         _check(violations, "meromorphic identity", chk["identity_residual"],
@@ -244,7 +254,8 @@ _TASKS = {
     "resolvent": _task_resolvent,
     "norm": _task_norm,
 }
-_FACTOR_TASKS = ("factorize", "resolvent")
+_PASSED = {"factorize": "factors", "resolvent": "factors",
+           "spectrum": "spectrum", "kernel": "spectrum"}
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +270,11 @@ def run_scenario(scn, opts, fail_fast=False):
 
     results = {}
     timings = {}
-    factors = {}
+    passed = {"factors": {}, "spectrum": {}}
     for name in tasks:
         t0 = time.perf_counter()
-        shared = {"factors": factors} if name in _FACTOR_TASKS else {}
+        shared = ({_PASSED[name]: passed[_PASSED[name]]}
+                  if name in _PASSED else {})
         try:
             res = _TASKS[name](space, scn, opts, **shared)
         except DualbandError as exc:
@@ -420,7 +432,10 @@ def _cmd_regold(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: ``parse_args`` fills
+    a new namespace on every call, so no option value carries over."""
     parser = argparse.ArgumentParser(
         prog="dualband",
         description="dual-band Toeplitz verification runner")
@@ -438,8 +453,11 @@ def main(argv=None):
         "regold", help="rebuild golden reports for a scenario directory")
     regold_p.add_argument("directory")
     regold_p.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "regold":

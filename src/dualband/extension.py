@@ -25,6 +25,14 @@ the finite sections, the adjoint maps and other whole-stack users.  A
 vector of the extension is one (4, .) stack, grid samples or an
 analytic coefficient window, and every Fourier transform takes the
 whole stack in one call.
+``kernel_lift`` builds its four components in one preallocated (4, G)
+stack and records on the vector what its residual was checked on: the
+space and g (by identity), lam, the grid, a copy of the window and the
+residual (``_LiftRecord``, 4 (n_ext + 1) numbers).  ``kernel_project``
+trusts that record only when it matches its own call and the window is
+still bitwise equal; any other vector (edited after the lift, built by
+hand, from ``adjoint_kernel_map``, or with another lam, grid or space)
+takes the full residual check.  The tolerance test runs either way.
 Dual-band coordinates [first band | second band] pass to and from their
 (2, G) band samples only through ``DualBandSpace.synth_bands`` and
 ``DualBandSpace.project_bands``.
@@ -50,7 +58,7 @@ import numpy as np
 from .dual_band import dualband_matrix
 from .errors import CutoffError, NonKernelInputError, SingularOperatorError
 from .matsym import MatrixSymbol, apply_rows
-from .symbols import fft_freqs, grid_fft, grid_ifft, grid_points
+from .symbols import grid_fft, grid_ifft, grid_points
 
 # antilinear reflection bookkeeping: columns of the inverse-conjugate
 # symbol are signed swaps of the transpose-conjugate symbol
@@ -155,9 +163,28 @@ def rh_residual(Gsym, vec):
 def _analytic_energy(rows, F):
     """``rh_residual`` of the symbol rows (a literal or a stack) on the
     (4, G) samples F."""
-    c = grid_fft(apply_rows(rows, F))[:, fft_freqs(F.shape[-1]) >= 0]
+    c = grid_fft(apply_rows(rows, F))[:, :F.shape[-1] // 2]
     # one sum per component: a sum along the stack's axis changes the bits
     return float(np.max([np.sqrt(np.sum(np.abs(ci) ** 2)) for ci in c]))
+
+
+@dataclass(frozen=True)
+class _LiftRecord:
+    """What ``kernel_lift`` checked: the space and g (by identity), lam,
+    the grid, a copy of the window and the residual it found there."""
+    space: object
+    g: object
+    lam: object
+    grid: int
+    window: np.ndarray
+    residual: float
+
+    def holds(self, space, g, lam, grid, comps):
+        """True when the check was made on this call and this window; a
+        NaN in the window never matches."""
+        return (self.space is space and self.g is g and self.lam == lam
+                and self.grid == grid
+                and np.array_equal(self.window, comps))
 
 
 def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
@@ -166,15 +193,18 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     The first two components are the band projections of the input; the
     last two are minus the analytic parts of conj(theta) times the third
     and fourth symbol rows applied to them.  The window doubles until its
-    upper half carries no energy.
+    upper half carries no energy.  The vector records what its residual
+    was checked on (``_LiftRecord``), for ``kernel_project``.
     """
     while True:
         Gq = G or space.extension_grid(g, n_ext)
         rows = _extension_rows(space, g, lam, Gq)
-        f1, f2 = space.synth_bands(coords, Gq)
+        S = np.empty((4, Gq), dtype=complex)
+        S[:2] = space.synth_bands(coords, Gq)
         tb = rows[0][0]
-        r34 = [tb * (rows[i][0] * f1 + rows[i][1] * f2) for i in (2, 3)]
-        comps = _window(np.vstack([f1, f2, *r34]), n_ext)
+        for i in (2, 3):
+            S[i] = tb * (rows[i][0] * S[0] + rows[i][1] * S[1])
+        comps = _window(S, n_ext)
         comps[2:] = -comps[2:]
         vec = ExtensionVector(comps, n_ext)
         if np.sqrt(vec.window_tail()) <= TOL_TAIL:
@@ -183,8 +213,10 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
             raise CutoffError(
                 f"coefficient window will not close: tail {vec.window_tail():.3e}")
         n_ext *= 2
-    vec.meta["rh_residual"] = _analytic_energy(rows, vec.values_on(Gq))
+    res = _analytic_energy(rows, vec.values_on(Gq))
+    vec.meta["rh_residual"] = res
     vec.meta["grid"] = Gq
+    vec.meta["lift"] = _LiftRecord(space, g, lam, Gq, comps.copy(), res)
     return vec
 
 
@@ -192,11 +224,17 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
     """Extension kernel vector -> dual-band coordinates.
 
     Rejects vectors that fail the kernel residual check: the projection
-    formula is only meaningful on the kernel.
+    formula is only meaningful on the kernel.  A vector that
+    ``kernel_lift`` returned for this space, g, lam and grid, with its
+    window unchanged, carries that check, and it is not run again.
     """
     Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
     F = vec.values_on(Gq)
-    res = _analytic_energy(_extension_rows(space, g, lam, Gq), F)
+    rec = vec.meta.get("lift")
+    if rec is not None and rec.holds(space, g, lam, Gq, vec.comps):
+        res = rec.residual
+    else:
+        res = _analytic_energy(_extension_rows(space, g, lam, Gq), F)
     scale = max(vec.norm(), 1e-300)
     if not res <= tol * scale:      # a NaN residual fails too
         raise NonKernelInputError(

@@ -32,7 +32,8 @@ evaluates all its candidate points in one batch (``_kernel_batch``):
 one theta evaluation, one basis evaluation, one product R E for the
 interior and boundary columns, and one stacked SVD of the pair
 matrices.  ``eigvec_build`` is the one-point
-case of that batch.
+case of that batch.  The residuals of all kernel rows come from one
+product of T_z with the stacked rows (``_residuals``).
 
 Every check against a dense matrix reads one matrix per space, T_z =
 ``space.shift_matrix()``.  The band basis is orthonormal, so the matrix
@@ -279,9 +280,11 @@ def _exterior_targets(c):
 def _dedup(values, tol=1e-8):
     """values without any that lie within tol of an earlier kept one."""
     values = np.asarray(values, dtype=complex)
-    near = np.abs(values[:, None] - values[None, :]) <= tol
-    keep = np.zeros(values.size, dtype=bool)
-    for i in range(values.size):
+    near = np.tril(np.abs(values[:, None] - values[None, :]) <= tol, -1)
+    keep = ~near.any(axis=1)
+    # a value with a near earlier one is dropped only when one of those
+    # was kept; in increasing order every earlier verdict is final
+    for i in np.flatnonzero(~keep):
         keep[i] = not near[i, keep].any()
     return values[keep]
 
@@ -337,9 +340,11 @@ def point_spectrum(space, cross_check=True):
 
     lams = _dedup(candidates)
     regions, dets, rows = _kernel_batch(space, lams)
+    res = _residuals(space.shift_matrix(), lams, rows)
     points = [SpectrumPoint(complex(lam), region, complex(det), r.shape[0],
-                            _residual(space.shift_matrix(), r, lam), r)
-              for lam, region, det, r in zip(lams, regions, dets, rows)
+                            float(rp), r)
+              for lam, region, det, r, rp in zip(lams, regions, dets, rows,
+                                                 res)
               if r.shape[0]]
     points.sort(key=lambda p: spectral_key(p.lam))
 
@@ -349,15 +354,30 @@ def point_spectrum(space, cross_check=True):
     return report
 
 
-def _residual(T, rows, lam):
-    """max over the rows v of || T v - lam v || / || v ||; zero rows
-    count 0."""
-    res = 0.0
-    for row in rows:
-        nr = float(np.linalg.norm(row))
-        if nr > 0:
-            res = max(res, float(np.linalg.norm(T @ row - lam * row)) / nr)
-    return res
+def _residuals(T, lams, rows):
+    """Per point, max over its rows v of || T v - lam v || / || v ||,
+    from one product over all the rows stacked; zero rows count 0 and a
+    point without rows 0."""
+    kdims = np.array([r.shape[0] for r in rows], dtype=int)
+    if not kdims.sum():
+        return np.zeros(len(rows))
+    V = np.concatenate(rows)
+    D = V @ T.T - np.repeat(lams, kdims)[:, None] * V
+    nv = _row_norms(V)
+    per_row = np.divide(_row_norms(D), nv, out=np.zeros_like(nv),
+                        where=nv > 0)
+    out = np.zeros(len(rows))
+    has = kdims > 0
+    out[has] = np.maximum.reduceat(per_row, np.cumsum(kdims)[has] - kdims[has])
+    return out
+
+
+def _row_norms(X):
+    """``np.linalg.norm`` of each row of X, bit for bit: the same dots of
+    the real and the imaginary parts, one stacked product each."""
+    re, im = X.real[:, None, :], X.imag[:, None, :]
+    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def _matrix_cross_check(space, points):

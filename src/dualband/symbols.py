@@ -18,7 +18,12 @@ Two families of objects:
 
 Grid conventions: grids are the ``G``-th roots of unity, ``G`` a power of
 two.  ``grid_fft(values)`` returns coefficients in standard FFT layout
-(index ``m`` holds frequency ``m`` for ``m < G/2``, else ``m - G``).
+(index ``m`` holds frequency ``m`` for ``m < G/2``, else ``m - G``), so
+the analytic half is the slice ``[..., :G//2]``.  Both transforms are
+one pocketfft call each: ``grid_fft`` scales by 1/G inside the transform
+(``norm="forward"``) and ``grid_ifft`` is the unscaled sum.  A power of
+two scales exactly, so this gives the same bits as scaling after an
+unscaled transform, without a second pass over the array.
 Quadrature means the plain grid average, which integrates trigonometric
 polynomials below the Nyquist frequency exactly.
 
@@ -91,15 +96,13 @@ def grid_points(G):
 
 def grid_fft(values):
     """Samples on the dyadic grid -> Fourier coefficients, FFT layout,
-    along the last axis."""
-    values = np.asarray(values, dtype=complex)
-    return np.fft.fft(values) / values.shape[-1]
+    along the last axis; the 1/G scale is applied inside the transform."""
+    return np.fft.fft(np.asarray(values, dtype=complex), norm="forward")
 
 
 def grid_ifft(coeffs):
-    """Inverse of ``grid_fft``, along the last axis."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return np.fft.ifft(coeffs) * coeffs.shape[-1]
+    """Inverse of ``grid_fft``, along the last axis: unscaled."""
+    return np.fft.ifft(np.asarray(coeffs, dtype=complex), norm="forward")
 
 
 def memo(store, G, evaluate):
@@ -122,7 +125,7 @@ def analytic_project_values(values):
     """Pointwise projection onto nonnegative frequencies (Riesz P+),
     along the last axis."""
     c = grid_fft(values)
-    c[..., fft_freqs(c.shape[-1]) < 0] = 0.0
+    c[..., c.shape[-1] // 2:] = 0.0
     return grid_ifft(c)
 
 
@@ -253,9 +256,8 @@ class LaurentSymbol:
         z = np.asarray(z, dtype=complex)
         if self.kind == "laurent":
             out = np.zeros(z.shape, dtype=complex)
-            for i, c in enumerate(self.coeffs):
-                if c != 0:
-                    out = out + c * z ** (self.offset + i)
+            for i in np.flatnonzero(self.coeffs).tolist():
+                out = out + self.coeffs[i] * z ** (self.offset + i)
             return out if out.shape else complex(out)
         denv = np.polyval(self.den[::-1], z)
         if np.any(np.abs(denv) < 1e-13):

@@ -173,6 +173,74 @@ class TestFactorsBuiltOnce:
         assert len(builds) == len(set(builds)) == 4
 
 
+class TestResultsPassedAlong:
+    """One run does each step once and hands its result to the next."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """The cross_check flag of every point_spectrum call the CLI
+        makes."""
+        import dualband.cli as cli
+        calls = []
+        real = cli.point_spectrum
+
+        def counting(space, cross_check=True):
+            calls.append(cross_check)
+            return real(space, cross_check=cross_check)
+
+        monkeypatch.setattr(cli, "point_spectrum", counting)
+        return calls
+
+    def test_kernel_reads_the_spectrum_task_points(self, tmp_path, spectra):
+        path = os.path.join(SCN_DIR, "blaschke_twist.scn")
+        assert main(["run", "--scenario", path, "--out", str(tmp_path),
+                     "--tasks", "spectrum,kernel"]) == 0
+        assert spectra == [True]
+        rep = read_json(tmp_path / "blaschke_twist.report.json")
+        assert len(rep["tasks"]["kernel"]["lifts"]) == 4
+
+    def test_kernel_alone_computes_its_own(self, tmp_path, spectra):
+        assert main(["kernel", "--scenario", CASE_II,
+                     "--out", str(tmp_path)]) == 0
+        assert spectra == [False]
+
+    def test_kernel_report_is_the_same_either_way(self, tmp_path):
+        path = os.path.join(SCN_DIR, "blaschke_twist.scn")
+        reports = []
+        for tasks in ("spectrum,kernel", "kernel"):
+            out = tmp_path / tasks.replace(",", "_")
+            assert main(["run", "--scenario", path, "--out", str(out),
+                         "--tasks", tasks]) == 0
+            rep = read_json(out / "blaschke_twist.report.json")
+            reports.append(json.dumps(rep["tasks"]["kernel"],
+                                      sort_keys=True))
+        assert reports[0] == reports[1]
+
+    def test_factorize_grids_once_per_symbol(self, tmp_path, monkeypatch):
+        from dualband.dual_band import DualBandSpace
+        calls = []
+        real = DualBandSpace.extension_grid
+
+        def counting(self, g=None, n_ext=0):
+            calls.append(g)
+            return real(self, g, n_ext)
+
+        monkeypatch.setattr(DualBandSpace, "extension_grid", counting)
+        path = os.path.join(SCN_DIR, "blaschke_twist.scn")
+        assert main(["run", "--scenario", path, "--out", str(tmp_path),
+                     "--tasks", "factorize"]) == 0
+        # one grid for the four lambdas, one for each of the three R
+        assert len(calls) == 4
+        assert calls[0] is None and all(g is not None for g in calls[1:])
+
+    def test_calls_share_no_option_values(self, tmp_path):
+        # the parser is built once per process; options are not
+        assert main(["run", "--scenario", NILPOTENT, "--out", str(tmp_path),
+                     "--tol", "1e-20"]) == 2
+        assert main(["run", "--scenario", NILPOTENT,
+                     "--out", str(tmp_path)]) == 0
+
+
 class TestSugar:
     def test_single_task(self, tmp_path):
         code = main(["spectrum", "--scenario", CASE_II,

@@ -92,6 +92,19 @@ def free_space():
                           aminus=LaurentSymbol.constant(2.5))
 
 
+
+class TestExtractedSplit:
+    @pytest.mark.xfail(strict=True, reason=(
+        "_extract_split_monomial reads the band ratio's coefficients at "
+        "the refinement grid, where the twist ratio aliases: aplus comes "
+        "back with support (0, 480) and split_residual 1.1e-8"))
+    def test_twist_split_is_the_constant(self):
+        # conj(psi) phi = -a z^n + (1 - a^2) sum_k a^k z^-(2k + 1) n, so
+        # aplus is the constant -a; TOL_SPLIT bounds supplied splits
+        sp = twist_space(16, 0.3)
+        assert sp.aplus.support() == (0, 0)
+        assert sp.report["split_residual"] <= dualband.dual_band.TOL_SPLIT
+
 class TestExtensionGrid:
     @pytest.mark.parametrize("n_ext", [0, 127, 128, 1023, 1024, 2000])
     def test_power_of_two_above_the_window(self, n_ext):

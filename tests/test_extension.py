@@ -7,7 +7,8 @@ from dualband import (InnerFunction, LaurentSymbol, NonKernelInputError,
                       SingularOperatorError, adjoint_kernel_map, build_G,
                       build_dualband, dualband_matrix, inverse_via_extension,
                       kernel_lift, kernel_project, point_spectrum, range_test)
-from dualband.extension import (_analytic_energy, _extension_rows, _window,
+from dualband.extension import (ExtensionVector, _analytic_energy,
+                                _extension_rows, _window,
                                 adjoint_symbol_identity_residual,
                                 finite_section_matrix, rh_residual)
 from dualband.symbols import fft_freqs, grid_fft, grid_ifft
@@ -194,6 +195,85 @@ class TestStacks:
         assert np.isnan(_analytic_energy(rows, vec.values_on(Gsym.grid)))
         with pytest.raises(NonKernelInputError):
             kernel_project(sp, vec, g=Z(1))
+
+
+class TestLiftRecord:
+    """A projection reuses its lift's residual check only for the vector
+    the lift returned, on the same call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import dualband.extension as ext
+        seen = {"energy": 0, "rows": 0}
+        energy, rows = ext._analytic_energy, ext._extension_rows
+
+        def counting_energy(*args):
+            seen["energy"] += 1
+            return energy(*args)
+
+        def counting_rows(*args):
+            seen["rows"] += 1
+            return rows(*args)
+
+        monkeypatch.setattr(ext, "_analytic_energy", counting_energy)
+        monkeypatch.setattr(ext, "_extension_rows", counting_rows)
+        return seen
+
+    def lifted(self):
+        sp = twist_space()
+        p = point_spectrum(sp, cross_check=False).points[0]
+        return sp, p, kernel_lift(sp, p.coords[0], lam=p.lam)
+
+    def test_round_trip_checks_once(self, counts):
+        sp, p, vec = self.lifted()
+        back = kernel_project(sp, vec, lam=p.lam)
+        assert counts == {"energy": 1, "rows": 1}
+        assert back == pytest.approx(p.coords[0], abs=1e-8)
+
+    def test_reused_residual_is_the_full_check(self):
+        sp, p, vec = self.lifted()
+        G = vec.meta["grid"]
+        full = _analytic_energy(_extension_rows(sp, None, p.lam, G),
+                                vec.values_on(G))
+        assert same_bits(vec.meta["lift"].residual, full)
+        assert same_bits(vec.meta["rh_residual"], full)
+
+    def test_same_bits_as_the_full_check(self):
+        sp, p, vec = self.lifted()
+        by_record = kernel_project(sp, vec, lam=p.lam)
+        del vec.meta["lift"]
+        assert same_bits(kernel_project(sp, vec, lam=p.lam), by_record)
+
+    @pytest.mark.parametrize("change", ["window", "lam", "grid", "space",
+                                        "by hand"])
+    def test_anything_else_takes_the_full_check(self, counts, change):
+        sp, p, vec = self.lifted()
+        lam, G = p.lam, None
+        if change == "window":
+            vec.comps *= 2.0            # still a kernel vector
+        elif change == "lam":
+            lam = p.lam * (1 + 1e-13)
+        elif change == "grid":
+            G = 2 * vec.meta["grid"]
+        elif change == "space":
+            sp = twist_space()
+        else:
+            vec = ExtensionVector(vec.comps.copy(), vec.n_ext,
+                                  {"grid": vec.meta["grid"]})
+        kernel_project(sp, vec, lam=lam, G=G)
+        assert counts == {"energy": 2, "rows": 2}
+
+    def test_an_edited_window_is_still_rejected(self):
+        sp, p, vec = self.lifted()
+        vec.comps[2, 5] += 1.0
+        with pytest.raises(NonKernelInputError):
+            kernel_project(sp, vec, lam=p.lam)
+
+    def test_adjoint_vector_carries_no_record(self):
+        sp = nilpotent_space()
+        vec = kernel_lift(sp, [0, 1, 0, 0], g=Z(1))
+        adj = adjoint_kernel_map(sp, vec, g=Z(1))
+        assert "lift" not in adj.meta
 
 
 class TestRange:

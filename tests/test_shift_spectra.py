@@ -284,6 +284,70 @@ class TestPointSpectrum:
 SPACES = (nilpotent_space, twist_space, two_sided_space)
 
 
+def per_row_residuals(T, lams, rows):
+    """Reference: a matvec and two norms per kernel row."""
+    out = []
+    for lam, r in zip(lams, rows):
+        res = 0.0
+        for row in r:
+            nr = float(np.linalg.norm(row))
+            if nr > 0:
+                res = max(res, float(np.linalg.norm(T @ row - lam * row)) / nr)
+        out.append(res)
+    return np.array(out)
+
+
+def dedup_reference(values, tol=1e-8):
+    """Reference: a value is kept when no kept earlier one is near it."""
+    kept = []
+    for v in values:
+        if not any(abs(v - k) <= tol for k in kept):
+            kept.append(v)
+    return np.array(kept, dtype=complex)
+
+
+class TestBatchedChecks:
+    """The spectrum's residuals come from one product over the stacked
+    kernel rows, and its deduplication loops only over near values."""
+
+    @pytest.mark.parametrize("space", [nilpotent_space, twist_space,
+                                       lambda: twist_space(16, 0.3)])
+    def test_residuals_match_per_row(self, space):
+        sp = space()
+        T = sp.shift_matrix()
+        lams = np.array(point_spectrum(sp, cross_check=False).eigenvalues())
+        _, _, rows = ss._kernel_batch(sp, lams)
+        # a point without kernel rows and a zero row both count 0
+        rows = rows + [np.zeros((0, 2 * sp.n)), np.zeros((1, 2 * sp.n))]
+        lams = np.concatenate([lams, [0.1, 0.2]])
+        got = ss._residuals(T, lams, rows)
+        want = per_row_residuals(T, lams, rows)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert got[-2:].tolist() == [0.0, 0.0]
+
+    def test_row_norms_are_numpy_norms(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((40, 128)) + 1j * rng.standard_normal((40, 128))
+        want = np.array([np.linalg.norm(x) for x in X])
+        assert np.array_equal(ss._row_norms(X), want)
+
+    def test_no_rows_at_all(self):
+        assert ss._residuals(np.eye(2), np.zeros(1), [np.zeros((0, 2))]) \
+            .tolist() == [0.0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dedup_keeps_the_same_values(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        # chains of near values: a dropped value does not shadow a later one
+        values = np.concatenate([base, base + 6e-9, base + 1.2e-8,
+                                 base[::2] - 3e-9, [np.nan, np.nan]])
+        values = values[rng.permutation(values.size)]
+        got = ss._dedup(values)
+        want = dedup_reference(values)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestShiftMatrix:
     @pytest.mark.parametrize("make", SPACES)
     def test_built_once_read_only(self, make):

@@ -411,6 +411,47 @@ class TestGrids:
         assert negative_energy(vals) < 1e-26
 
 
+def same_bits(x, y):
+    """Equal arrays down to the sign of every zero."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint8),
+                                                  y.view(np.uint8))
+
+
+class TestTransformBits:
+    """The transforms scale inside pocketfft; a power of two scales
+    exactly, so the bits are those of scaling after the transform."""
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 4)])
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_same_bits_as_scale_after(self, k, shape):
+        G = 2 ** k
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((*shape, G)) + \
+            1j * rng.standard_normal((*shape, G))
+        assert same_bits(grid_fft(x), np.fft.fft(x) / G)
+        assert same_bits(grid_ifft(x), np.fft.ifft(x) * G)
+
+    def test_analytic_half_is_the_first_half(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        c = grid_fft(x)
+        c[:, fft_freqs(64) < 0] = 0.0
+        assert same_bits(analytic_project_values(x), grid_ifft(c))
+
+    @pytest.mark.parametrize("z", [0.3 - 0.2j, np.array([0.5, -0.4j, 2.0])])
+    def test_eval_at_skips_zero_terms_only(self, z):
+        c = np.zeros(40, dtype=complex)
+        c[[0, 7, 8, 39]] = [0.5, -1.25j, 3.0, 1e-9 + 2e-9j]
+        sym = LaurentSymbol.from_coeffs(c, -5)
+        zz = np.asarray(z, dtype=complex)
+        want = np.zeros(zz.shape, dtype=complex)
+        for i, ci in enumerate(sym.coeffs):
+            if ci != 0:
+                want = want + ci * zz ** (sym.offset + i)
+        assert same_bits(sym.eval_at(z), want)
+
+
 class TestSampleMemo:
     @pytest.mark.parametrize("obj", [
         LaurentSymbol.from_coeffs({-2: 0.5j, 0: 1.0, 3: -0.25}),
