@@ -40,7 +40,7 @@ entries are read-only.
 
 Dual-band coordinates are laid out [first band | second band], n each;
 ``synth_bands`` and ``project_bands`` are the one place that layout
-meets grid samples.
+meets grid samples, and ``synth_bands`` refuses any other length.
 """
 
 from __future__ import annotations
@@ -92,10 +92,18 @@ class DualBandSpace:
 
     def synth_bands(self, coords, G):
         """(2, G) samples of the two bands' K_theta functions whose
-        coordinates are [first band | second band]."""
+        coordinates are [first band | second band].  ValueError, before
+        any grid work, unless there are 2n coordinates."""
         n = self.n
-        return np.array([self.basis.synth_values(coords[:n], G),
-                         self.basis.synth_values(coords[n:], G)])
+        coords = np.asarray(coords, dtype=complex)
+        if coords.shape != (2 * n,):
+            raise ValueError(
+                f"dual-band coordinates have length 2n = {2 * n}, "
+                f"got {np.size(coords)}")
+        out = np.empty((2, G), dtype=complex)
+        out[0] = self.basis.synth_values(coords[:n], G)
+        out[1] = self.basis.synth_values(coords[n:], G)
+        return out
 
     def project_bands(self, F):
         """[first band | second band] coordinates of the K_theta

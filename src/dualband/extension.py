@@ -33,9 +33,18 @@ trusts that record only when it matches its own call and the window is
 still bitwise equal; any other vector (edited after the lift, built by
 hand, from ``adjoint_kernel_map``, or with another lam, grid or space)
 takes the full residual check.  The tolerance test runs either way.
+
 Dual-band coordinates [first band | second band] pass to and from their
 (2, G) band samples only through ``DualBandSpace.synth_bands`` and
 ``DualBandSpace.project_bands``.
+
+Working set: a lift holds the symbol's four live arrays and one (4, G)
+block.  The block takes the samples, is transformed in place into their
+coefficients, and takes the window's samples back for the residual
+check; the residual product G F is one more (4, G) block, transformed
+in place.  A projection whose lift record holds synthesizes only the two
+band components it projects.  At G = 16384 a lift peaks at 13 length-G
+arrays and such a projection at 3.  No buffer outlives a call.
 
 Grids: every four-by-four symbol here is gridded by the extension rule,
 ``DualBandSpace.extension_grid``: the quadrature grid of the space and g
@@ -91,7 +100,7 @@ def _extension_rows(space, g, lam, G):
                                 *space.split_values(G))
     gv = g.sample(G)
     fw, bw = (r.sample(G) for r in space.ratios)
-    return _extension_symbol(th, gv, gv * fw, gv * bw)
+    return _extension_symbol(th, np.conj(th), gv, gv * fw, gv * bw)
 
 
 def split_form_symbol(space, gv):
@@ -109,11 +118,10 @@ def _split_form_rows(th, gv, Apb, Am):
     """Row literal of ``split_form_symbol`` from the samples of theta,
     g, conj(aplus) and aminus."""
     tb = np.conj(th)
-    return _extension_symbol(th, gv, gv * Apb * tb, gv * Am * tb)
+    return _extension_symbol(th, tb, gv, gv * Apb * tb, gv * Am * tb)
 
 
-def _extension_symbol(th, gv, off12, off21):
-    tb = np.conj(th)
+def _extension_symbol(th, tb, gv, off12, off21):
     return [
         [tb, 0, 0, 0],
         [0, tb, 0, 0],
@@ -135,19 +143,32 @@ class ExtensionVector:
         return float(np.sum(np.abs(self.comps[:, half + 1:]) ** 2))
 
     def values_on(self, G):
-        if G < 2 * (self.n_ext + 1):
-            raise CutoffError("grid too small for the coefficient window")
-        c = np.zeros((4, G), dtype=complex)
-        c[:, :self.n_ext + 1] = self.comps
-        return grid_ifft(c)
+        return _samples(self.comps, G)
 
     def norm(self):
         return float(np.linalg.norm(self.comps))
 
 
+def _samples(comps, G, out=None):
+    """(k, G) grid samples of k coefficient windows comps (k, n_ext + 1):
+    one inverse transform, run in place in ``out`` (k, G) when given,
+    else in a new array."""
+    N = comps.shape[-1]
+    if G < 2 * N:
+        raise CutoffError("grid too small for the coefficient window")
+    if out is None:
+        out = np.zeros((len(comps), G), dtype=complex)
+    else:
+        out[:, N:] = 0
+    out[:, :N] = comps
+    return grid_ifft(out, out=out)
+
+
 def _window(values, n_ext):
-    """Analytic coefficients [0, n_ext] of a stack of grid samples."""
-    return grid_fft(values)[..., :n_ext + 1].copy()
+    """Analytic coefficients [0, n_ext] of a stack of grid samples.  The
+    transform runs in place: ``values`` is left holding all of its
+    coefficients."""
+    return grid_fft(values, out=values)[..., :n_ext + 1].copy()
 
 
 def rh_residual(Gsym, vec):
@@ -163,7 +184,8 @@ def rh_residual(Gsym, vec):
 def _analytic_energy(rows, F):
     """``rh_residual`` of the symbol rows (a literal or a stack) on the
     (4, G) samples F."""
-    c = grid_fft(apply_rows(rows, F))[:, :F.shape[-1] // 2]
+    GF = apply_rows(rows, F)
+    c = grid_fft(GF, out=GF)[:, :F.shape[-1] // 2]
     # one sum per component: a sum along the stack's axis changes the bits
     return float(np.max([np.sqrt(np.sum(np.abs(ci) ** 2)) for ci in c]))
 
@@ -193,8 +215,10 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     The first two components are the band projections of the input; the
     last two are minus the analytic parts of conj(theta) times the third
     and fourth symbol rows applied to them.  The window doubles until its
-    upper half carries no energy.  The vector records what its residual
-    was checked on (``_LiftRecord``), for ``kernel_project``.
+    upper half carries no energy.  One (4, G) block holds the samples,
+    then their coefficients, then the window's samples for the residual
+    check.  The vector records what its residual was checked on
+    (``_LiftRecord``), for ``kernel_project``.
     """
     while True:
         Gq = G or space.extension_grid(g, n_ext)
@@ -213,7 +237,7 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
             raise CutoffError(
                 f"coefficient window will not close: tail {vec.window_tail():.3e}")
         n_ext *= 2
-    res = _analytic_energy(rows, vec.values_on(Gq))
+    res = _analytic_energy(rows, _samples(comps, Gq, out=S))
     vec.meta["rh_residual"] = res
     vec.meta["grid"] = Gq
     vec.meta["lift"] = _LiftRecord(space, g, lam, Gq, comps.copy(), res)
@@ -226,14 +250,16 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
     Rejects vectors that fail the kernel residual check: the projection
     formula is only meaningful on the kernel.  A vector that
     ``kernel_lift`` returned for this space, g, lam and grid, with its
-    window unchanged, carries that check, and it is not run again.
+    window unchanged, carries that check, and it is not run again; only
+    the two band components it projects are then sampled.
     """
     Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
-    F = vec.values_on(Gq)
     rec = vec.meta.get("lift")
     if rec is not None and rec.holds(space, g, lam, Gq, vec.comps):
         res = rec.residual
+        F = _samples(vec.comps[:2], Gq)
     else:
+        F = vec.values_on(Gq)
         res = _analytic_energy(_extension_rows(space, g, lam, Gq), F)
     scale = max(vec.norm(), 1e-300)
     if not res <= tol * scale:      # a NaN residual fails too

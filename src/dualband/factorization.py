@@ -43,13 +43,26 @@ H = (0, 0, h1, h2) solves as Y = conj(theta) (P[:, 2] h1 + P[:, 3] h2);
 Y is projected onto the analytic half, X is applied, and the first two
 components are read off.
 
-Layout: the canonical branch formulas are written once, as row literals
-(each entry a number or a length-G array, as in ``MatrixSymbol.rows``).
-``canonical_factors`` stacks them for verification.  ``resolvent_apply``
-without given factors reads only the entries it needs from the literals
-and builds no (4, 4, G) stack; with given factors it reads the stacks by
-the same [i][j] indexing, to the same bits.  The R family and the L^2
+Layout: the canonical branch formulas are written once.  The symbol is
+a row literal (each entry a number or a length-G array, as in
+``MatrixSymbol.rows``); M, X and P are generators that build a row
+literal when the row is read.  ``canonical_factors`` stacks every row
+for verification.  ``resolvent_apply`` without given factors streams
+them and builds no (4, 4, G) stack: each entry of M goes into M's
+squared norm as it is made and is dropped, P is read one row at a time
+into the rows of Y and the running squared norms of M^{-1}'s columns,
+Y is one (4, G) block projected in place, and only rows 0 and 1 of X
+are built.  With given factors it reads the stacks by the same [i][j]
+indexing and arithmetic, to the same bits.  The R family and the L^2
 factors are stacked where they are built.
+
+Working set: a resolvent solve holds a bounded number of length-G
+arrays, however many entries its factors have: at G = 16384 about 23
+(5.6 MiB), where holding every entry of every factor took 53.  No buffer
+outlives a call.  Each formula keeps its expression as written: numpy's
+complex product is not bitwise commutative, and on arrays of 256 KiB or
+more numpy may evaluate a * (b + c) inside the temporary as (b + c) * a,
+so hoisting or reordering a subexpression can move the last bit.
 
 Condition numbers: ``verify_factorization``'s ``plus_cond`` and
 ``resolvent_apply``'s ``cond_minus`` hold the Frobenius bound of
@@ -78,12 +91,13 @@ quadrature rule already resolves theta.  The grid conventions in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import EigenvalueEncounteredError, NoAdcError
 from .extension import _split_form_rows, split_form_symbol
-from .matsym import (MatrixSymbol, apply_rows, frobenius_cond,
+from .matsym import (MatrixSymbol, add_sq, apply_rows, frobenius_cond,
                      monomial_diag_values, sq_frobenius)
 from .shift_spectra import _region, delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
@@ -151,13 +165,16 @@ def canonical_factors(space, lam, G=None):
     """
     res = _canonical_literals(space, lam, G)
     for name in _FACTORS:
-        setattr(res, name, MatrixSymbol.rows(res.grid, getattr(res, name)))
+        setattr(res, name,
+                MatrixSymbol.rows(res.grid, list(getattr(res, name))))
     return res
 
 
 def _canonical_literals(space, lam, G):
     """The branch formulas of ``canonical_factors``: its result with the
-    four symbols of ``_FACTORS`` still row literals, not stacked."""
+    symbol a row literal and the minus factor, the plus inverse and the
+    plus factor generators of row literals, each row built as it is read
+    and read once."""
     lam = complex(lam)
     G = G or space.extension_grid()
     c = shift_constants(space)
@@ -187,115 +204,124 @@ def _canonical_literals(space, lam, G):
 
     z = grid_points(G)
     th = space.theta.sample(G)
-    tb = np.conj(th)
     zl = z - lam
     Apb, Am = space.split_values(G)
+    symbol = _split_form_rows(th, zl, Apb, Am)
+    tb = symbol[0][0]                                      # conj(theta)
 
     if region == "inside":
         prof = difference_quotient(space.theta, lam, G)   # analytic profile
         zlp = th - thl                                     # zl * prof
         lower2, lower4 = -1, -1                            # X rows 3, 4
         m32, m44 = -thl, -thl
-        m34, m42 = Apb * (1 - thl * tb), Am * (1 - thl * tb)
+
+        def m_right(A):                                    # M[2][3], M[3][1]
+            return A * (1 - thl * tb)
     else:
         prof = (1 - tau * th) / zl
         zlp = tau * th - 1                                 # -zl * prof
         lower2, lower4 = tau, tau
         m32, m44 = 1, 1
-        m34, m42 = Apb * (tb - tau), Am * (tb - tau)
-    profc = prof * tb
+
+        def m_right(A):
+            return A * (tb - tau)
 
     if not degenerate:
         b, cc = -(c.alpha / c.disc), -(c.beta / c.disc)
         c0 = c.kappa * c.tbar / c.disc
-        g31 = cc * zl * (Apb * tb - c.alpha * c.tbar)
-        g33 = (zl / c.disc) * (Apb - c.alpha
-                               + c.kappa * c.tbar * Apb * (tb - c.tbar))
-        g41 = (zl / c.disc) * (Am - c.beta
-                               + c.kappa * c.tbar * Am * (tb - c.tbar))
-        g43 = b * zl * (Am * tb - c.beta * c.tbar)
-        plus_inv = [
-            [th + c0, prof, b, 0],
-            [cc, 0, th + c0, prof],
-            [-zl, lower2, 0, 0],
-            [0, 0, -zl, lower4],
-        ]
-        minus = [
-            [1 + c0 * tb, profc, b * tb, 0],
-            [cc * tb, 0, 1 + c0 * tb, profc],
-            [g31, m32, g33, m34],
-            [g41, m42, g43, m44],
-        ]
+
+        def plus_inv():
+            yield [th + c0, prof, b, 0]
+            yield [cc, 0, th + c0, prof]
+            yield [-zl, lower2, 0, 0]
+            yield [0, 0, -zl, lower4]
+
+        def minus():
+            profc = prof * tb
+            yield [1 + c0 * tb, profc, b * tb, 0]
+            yield [cc * tb, 0, 1 + c0 * tb, profc]
+            yield [cc * zl * (Apb * tb - c.alpha * c.tbar), m32,
+                   (zl / c.disc) * (Apb - c.alpha
+                                    + c.kappa * c.tbar * Apb * (tb - c.tbar)),
+                   m_right(Apb)]
+            yield [(zl / c.disc) * (Am - c.beta
+                                    + c.kappa * c.tbar * Am * (tb - c.tbar)),
+                   m_right(Am), b * zl * (Am * tb - c.beta * c.tbar), m44]
+
         if region == "inside":
             e = c0 + thl
             D = b * cc - e * e
-            d = (e / D) * (c0 + th) - b * cc / D
-            plus = [
-                [-e / D, b / D, (-e / D) * prof, (b / D) * prof],
-                [(e / D) * zl, (-b / D) * zl, d, (-b / D) * zlp],
-                [cc / D, -e / D, (cc / D) * prof, (-e / D) * prof],
-                [(-cc / D) * zl, (e / D) * zl, (-cc / D) * zlp, d],
-            ]
+
+            def plus():
+                d = (e / D) * (c0 + th) - b * cc / D
+                yield [-e / D, b / D, (-e / D) * prof, (b / D) * prof]
+                yield [(e / D) * zl, (-b / D) * zl, d, (-b / D) * zlp]
+                yield [cc / D, -e / D, (cc / D) * prof, (-e / D) * prof]
+                yield [(-cc / D) * zl, (e / D) * zl, (-cc / D) * zlp, d]
         else:
             f = 1 + c0 * tau
             D = b * cc * tau * tau - f * f
-            d = b * cc * tau / D - (f / D) * (c0 + th)
-            plus = [
-                [-tau * f / D, b * tau * tau / D, (f / D) * prof,
-                 (-b * tau / D) * prof],
-                [(-f / D) * zl, (b * tau / D) * zl, d, (b / D) * zlp],
-                [cc * tau * tau / D, -tau * f / D, (-cc * tau / D) * prof,
-                 (f / D) * prof],
-                [(cc * tau / D) * zl, (-f / D) * zl, (cc / D) * zlp, d],
-            ]
+
+            def plus():
+                d = b * cc * tau / D - (f / D) * (c0 + th)
+                yield [-tau * f / D, b * tau * tau / D, (f / D) * prof,
+                       (-b * tau / D) * prof]
+                yield [(-f / D) * zl, (b * tau / D) * zl, d, (b / D) * zlp]
+                yield [cc * tau * tau / D, -tau * f / D,
+                       (-cc * tau / D) * prof, (f / D) * prof]
+                yield [(cc * tau / D) * zl, (-f / D) * zl, (cc / D) * zlp, d]
         kind = "canonical-generic"
     else:
         a = c.alpha
         tbar = c.tbar
-        plus_inv = [
-            [-a * (1 - th * tbar), prof, -a * tbar, 0],
-            [th, 0, 1, prof],
-            [-tbar * a * zl, lower2, 0, 0],
-            [-zl, 0, 0, lower4],
-        ]
-        minus = [
-            [-a * (tb - tbar), profc, -a * tbar * tb, 0],
-            [1, 0, tb, profc],
-            [(Apb - a) * zl, m32, (Apb * tb - a * tbar) * zl, m34],
-            [-a * Am * (tb - tbar) * zl, m42,
-             zl * (1 - a * tbar * Am * tb), m44],
-        ]
+
+        def plus_inv():
+            yield [-a * (1 - th * tbar), prof, -a * tbar, 0]
+            yield [th, 0, 1, prof]
+            yield [-tbar * a * zl, lower2, 0, 0]
+            yield [-zl, 0, 0, lower4]
+
+        def minus():
+            profc = prof * tb
+            yield [-a * (tb - tbar), profc, -a * tbar * tb, 0]
+            yield [1, 0, tb, profc]
+            yield [(Apb - a) * zl, m32, (Apb * tb - a * tbar) * zl,
+                   m_right(Apb)]
+            yield [-a * Am * (tb - tbar) * zl, m_right(Am),
+                   zl * (1 - a * tbar * Am * tb), m44]
+
         s2 = a * tbar * tbar
         if region == "inside":
             h = 2 * tbar * thl - 1
-            d = (-tbar / h) * th - (tbar * thl - 1) / h
             u = (tbar * thl - 1) / h
-            plus = [
-                [1 / (a * h), tbar / h, prof / (a * h), (tbar / h) * prof],
-                [(-tbar / h) * zl, (-s2 / h) * zl, d, (-s2 / h) * zlp],
-                [-thl / (a * h), u, (-thl / (a * h)) * prof, u * prof],
-                [(-1 / (a * h)) * zl, (-tbar / h) * zl, (-1 / (a * h)) * zlp,
-                 d],
-            ]
+
+            def plus():
+                d = (-tbar / h) * th - (tbar * thl - 1) / h
+                yield [1 / (a * h), tbar / h, prof / (a * h),
+                       (tbar / h) * prof]
+                yield [(-tbar / h) * zl, (-s2 / h) * zl, d,
+                       (-s2 / h) * zlp]
+                yield [-thl / (a * h), u, (-thl / (a * h)) * prof, u * prof]
+                yield [(-1 / (a * h)) * zl, (-tbar / h) * zl,
+                       (-1 / (a * h)) * zlp, d]
         else:
             k = tau - 2 * tbar
-            d = (-tbar / k) * th + (tau - tbar) / (tau * k)
             u = (tau - tbar) / k
-            plus = [
-                [-tau / (a * k), -tau * tbar / k, prof / (a * k),
-                 (tbar / k) * prof],
-                [(-tbar / k) * zl, (-s2 / k) * zl, d,
-                 (-s2 / (tau * k)) * zlp],
-                [1 / (a * k), u, (-1 / (a * tau * k)) * prof,
-                 (-u / tau) * prof],
-                [(-1 / (a * k)) * zl, (-tbar / k) * zl,
-                 (-1 / (a * tau * k)) * zlp, d],
-            ]
+
+            def plus():
+                d = (-tbar / k) * th + (tau - tbar) / (tau * k)
+                yield [-tau / (a * k), -tau * tbar / k, prof / (a * k),
+                       (tbar / k) * prof]
+                yield [(-tbar / k) * zl, (-s2 / k) * zl, d,
+                       (-s2 / (tau * k)) * zlp]
+                yield [1 / (a * k), u, (-1 / (a * tau * k)) * prof,
+                       (-u / tau) * prof]
+                yield [(-1 / (a * k)) * zl, (-tbar / k) * zl,
+                       (-1 / (a * tau * k)) * zlp, d]
         kind = "canonical-degenerate"
 
-    symbol = _split_form_rows(th, zl, Apb, Am)
-    res = FactorizationResult(kind, lam, G, symbol, minus, plus_inv, plus,
-                              (0, 0, 0, 0), complex(scale), warnings)
+    res = FactorizationResult(kind, lam, G, symbol, minus(), plus_inv(),
+                              plus(), (0, 0, 0, 0), complex(scale), warnings)
     res.extras = {"region": region, "disc": complex(c.disc),
                   "det_lambda": complex(det_lam), "minus_degree": 0}
     return res
@@ -542,42 +568,52 @@ def resolvent_apply(space, lam, h_coords, G=None, factors=None):
     time, with G^{-1} = [[theta I, 0], [-C, conj(theta) I]] and C the
     symbol's lower-left block.  ``factors`` is
     ``canonical_factors(space, lam, G)`` when the caller already holds
-    it; otherwise the factors are built here as row literals and never
-    stacked.  Both read the entries by [i][j] with the same arithmetic,
-    so they give the same bits.  Returns (coords, diagnostics).
+    it; otherwise the factors are built here as row literals, one row
+    at a time, and never stacked.  Both read the entries by [i][j] with
+    the same arithmetic, so they give the same bits.  A coordinate
+    vector of the wrong length is refused before any factor is built.
+    Returns (coords, diagnostics).
     """
+    if factors is not None and (factors.lam != complex(lam)
+                                or (G and factors.grid != G)):
+        raise ValueError(
+            f"factors at lam={factors.lam}, G={factors.grid} do not match "
+            f"lam={complex(lam)}, G={G}")
+    Gq = factors.grid if factors is not None else G or space.extension_grid()
+    h = np.asarray(h_coords, dtype=complex)
+    h1, h2 = space.synth_bands(h, Gq)
     if factors is None:
-        res = _canonical_literals(space, lam, G)
+        res = _canonical_literals(space, lam, Gq)
         S, M, X, P = (getattr(res, name) for name in _FACTORS)
     else:
         res = factors
-        if res.lam != complex(lam) or (G and res.grid != G):
-            raise ValueError(
-                f"factors at lam={res.lam}, G={res.grid} do not match "
-                f"lam={complex(lam)}, G={G}")
         S, M, X, P = (getattr(res, name).values for name in _FACTORS)
-    Gq = res.grid
-    h = np.asarray(h_coords, dtype=complex)
-    h1, h2 = space.synth_bands(h, Gq)
     th = space.theta.sample(Gq)
-    tb = np.conj(th)
+    tb = S[0][0]                                # conj(theta)
 
-    right = [[tb * P[i][2], tb * P[i][3]]      # columns 2, 3 of M^{-1}
-             for i in range(4)]
-    Y = np.array([r2 * h1 + r3 * h2 for r2, r3 in right])
-    inv_sq = sq_frobenius(right)
-    for j in (0, 1):                            # columns 0, 1 of M^{-1}
-        inv_sq = inv_sq + sq_frobenius(
-            [[th * P[i][j] - P[i][2] * S[2][j] - P[i][3] * S[3][j]]
-             for i in range(4)])
-    cond = frobenius_cond("solve", sq_frobenius(M), inv_sq)
+    m_sq = sq_frobenius(M)
+    # row i of P gives row i of Y and of M^{-1}'s columns; each column
+    # group's squared norm sums in the row-major order of sq_frobenius
+    Y = np.empty((4, Gq), dtype=complex)
+    inv_sq = [0, 0, 0]                          # columns (2, 3), 0 and 1
+    rows = iter(P)
+    for i in range(4):
+        Pi = next(rows)
+        r2, r3 = tb * Pi[2], tb * Pi[3]         # columns 2, 3 of M^{-1}
+        Y[i] = r2 * h1 + r3 * h2
+        inv_sq[0] = add_sq(add_sq(inv_sq[0], r2), r3)
+        for j in (0, 1):                        # columns 0, 1 of M^{-1}
+            inv_sq[j + 1] = add_sq(inv_sq[j + 1], th * Pi[j]
+                                   - Pi[2] * S[2][j] - Pi[3] * S[3][j])
+        del Pi, r2, r3                          # before the next row
+    cond = frobenius_cond("solve", m_sq, inv_sq[0] + inv_sq[1] + inv_sq[2])
     warnings = list(res.warnings)
     if cond * np.finfo(float).eps > COND_WARN:
         warnings.append(
             f"minus factor condition bound {cond:.3e} times eps exceeds "
             f"{COND_WARN:.0e}; lam is near the point spectrum")
-    coords = space.project_bands(
-        apply_rows(X[:2], analytic_project_values(Y)))
+    analytic_project_values(Y, out=Y)
+    coords = space.project_bands(apply_rows(list(islice(X, 2)), Y))
 
     hn = max(float(np.linalg.norm(h)), 1e-300)
     residual = float(np.linalg.norm(

@@ -13,6 +13,17 @@ read only the entries they need; ``MatrixSymbol.rows`` stacks a literal
 into the (r, c, G) layout where whole-stack algebra runs, which is
 factor verification and the other public users of a MatrixSymbol.
 
+Layout: the shift paths hold a bounded number of length-G arrays at
+once, however many entries their symbols have.  A literal may be any
+iterable of rows, a generator that builds each row when it is read
+included; sums over entries run as the entries are made (``add_sq``,
+the step of ``sq_frobenius``); (r, G) blocks take their Fourier
+transforms in place (``symbols.grid_fft`` and ``grid_ifft`` with
+``out``).  No buffer outlives a call: there is no cache or module-level
+buffer.  The C heap hands the memory freed at the end of a call back to
+the system, and the next call faults it in again, so a smaller working
+set saves kernel time as well as memory.
+
 One routine applies a symbol to a stack of sample vectors,
 ``apply_rows``: entry by entry over whole sample rows, skipping every
 number 0 of a literal.  ``MatrixSymbol.matvec_values`` is that routine
@@ -217,8 +228,10 @@ def sq_frobenius(rows):
     stack: the sum of |entry|^2 in row-major entry order.  A stack takes
     one numpy sum over its leading axes, which adds in that order; a
     literal adds entry by entry, so it gives the same bits as its stack.
-    In a literal a number stays a number and a number 0 adds nothing;
-    the result is a number when every entry is one."""
+    A literal may be any iterable of rows, a generator included: each row
+    is dropped before the next one is read.  In a literal a number stays
+    a number and a number 0 adds nothing; the result is a number when
+    every entry is one."""
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(rows, np.ndarray):
             return (rows.real ** 2 + rows.imag ** 2).sum(
@@ -227,8 +240,17 @@ def sq_frobenius(rows):
         for row in rows:
             for e in row:
                 if not _is_zero(e):
-                    total = total + (e.real * e.real + e.imag * e.imag)
+                    total = add_sq(total, e)
+            row = e = None  # a generator builds its next row without them
         return total
+
+
+def add_sq(total, entry):
+    """total + |entry|^2: the step ``sq_frobenius`` takes on each live
+    entry of a literal, for a sum that runs over entries as they are
+    made."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return total + (entry.real * entry.real + entry.imag * entry.imag)
 
 
 def frobenius_cond(what, sq_norms, sq_inverse_norms, cond_cap=1e12):
@@ -251,5 +273,5 @@ def monomial_diag_values(powers, G):
     return [z ** int(k) for k in powers]
 
 
-__all__ = ["MatrixSymbol", "apply_rows", "frobenius_cond",
+__all__ = ["MatrixSymbol", "add_sq", "apply_rows", "frobenius_cond",
            "monomial_diag_values", "sq_frobenius"]

@@ -107,8 +107,12 @@ class ModelSpaceBasis:
         return (V.conj() @ fvals) / G
 
     def synth_values(self, coeffs, G):
-        """Samples of sum_k coeffs[k] e_k on the size-G grid."""
+        """Samples of sum_k coeffs[k] e_k on the size-G grid.  ValueError,
+        before any grid work, unless there are n coefficients."""
         coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (self.n,):
+            raise ValueError(f"K_theta coordinates have length n = "
+                             f"{self.n}, got {coeffs.size}")
         if self.is_monomial:
             return _fold_ifft(coeffs, 0, G)
         return coeffs @ self.values(G)

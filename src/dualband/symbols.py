@@ -94,15 +94,19 @@ def grid_points(G):
     return z
 
 
-def grid_fft(values):
+def grid_fft(values, out=None):
     """Samples on the dyadic grid -> Fourier coefficients, FFT layout,
-    along the last axis; the 1/G scale is applied inside the transform."""
-    return np.fft.fft(np.asarray(values, dtype=complex), norm="forward")
+    along the last axis; the 1/G scale is applied inside the transform.
+    ``out`` (it may be ``values`` itself) receives the result."""
+    return np.fft.fft(np.asarray(values, dtype=complex), norm="forward",
+                      out=out)
 
 
-def grid_ifft(coeffs):
-    """Inverse of ``grid_fft``, along the last axis: unscaled."""
-    return np.fft.ifft(np.asarray(coeffs, dtype=complex), norm="forward")
+def grid_ifft(coeffs, out=None):
+    """Inverse of ``grid_fft``, along the last axis: unscaled.  ``out``
+    (it may be ``coeffs`` itself) receives the result."""
+    return np.fft.ifft(np.asarray(coeffs, dtype=complex), norm="forward",
+                       out=out)
 
 
 def memo(store, G, evaluate):
@@ -121,12 +125,13 @@ def fft_freqs(G):
     return np.where(m < G // 2, m, m - G)
 
 
-def analytic_project_values(values):
+def analytic_project_values(values, out=None):
     """Pointwise projection onto nonnegative frequencies (Riesz P+),
-    along the last axis."""
-    c = grid_fft(values)
+    along the last axis.  Both transforms run in one array: ``out``
+    when given (it may be ``values`` itself), else a new one."""
+    c = grid_fft(values, out=out)
     c[..., c.shape[-1] // 2:] = 0.0
-    return grid_ifft(c)
+    return grid_ifft(c, out=c)
 
 
 def _trim(arr):
@@ -394,7 +399,7 @@ def _fold_ifft(coeffs, lo, G):
     """sum_i coeffs[i] * z**(lo + i) on the size-G grid, folded mod G."""
     c = np.zeros(G, dtype=complex)
     np.add.at(c, (lo + np.arange(coeffs.size)) % G, coeffs)
-    return grid_ifft(c)
+    return grid_ifft(c, out=c)
 
 
 def _next_pow2(n):

@@ -12,7 +12,8 @@ from dualband import (DegeneracyError, InnerFunction, LaurentSymbol,
                       UnimodularityError, block_w, build_dualband, build_G,
                       cm_matrix, cm_symmetry_residual,
                       dualband_matrix, hankel_norm, inverse_via_extension,
-                      is_zero_operator, pm_apply, range_test,
+                      is_zero_operator, kernel_lift, pm_apply,
+                      point_spectrum, range_test, resolvent_apply,
                       shift_quadrature_residual, unitary_equiv_check)
 from dualband.cli import main
 
@@ -344,6 +345,61 @@ class TestBandCoordinates:
         c = np.array([0.5, -1j, 2.0, 0.25 + 1j])
         F = np.vstack([sp.synth_bands(c, 64), np.ones((2, 64))])
         assert sp.project_bands(F) == pytest.approx(c, abs=1e-14)
+
+
+def blaschke_free_space():
+    """n = 2 over a theta that is not a power of z."""
+    return build_dualband(InnerFunction.blaschke([0.3, -0.5j]),
+                          aplus=LaurentSymbol.constant(2.5),
+                          aminus=LaurentSymbol.constant(0.5))
+
+
+@pytest.fixture
+def no_grid_work(monkeypatch):
+    """Make every basis synthesis fail: a call that gets that far has
+    started grid work."""
+    import dualband.model_space as ms
+
+    def grid_work(*args):
+        raise AssertionError("grid work started")
+
+    monkeypatch.setattr(ms, "_fold_ifft", grid_work)
+    monkeypatch.setattr(ms.ModelSpaceBasis, "values", grid_work)
+
+
+@pytest.mark.parametrize("make", [twist_space, blaschke_free_space])
+@pytest.mark.parametrize("extra", [-1, 1])
+class TestCoordinateLength:
+    """A coordinate vector of the wrong length is refused, with both
+    lengths named, before any grid work."""
+
+    def test_synth_bands(self, make, extra, no_grid_work):
+        sp = make()
+        with pytest.raises(ValueError, match=rf"2n = 4, got {4 + extra}"):
+            sp.synth_bands(np.ones(2 * sp.n + extra), 64)
+
+    def test_synth_values(self, make, extra, no_grid_work):
+        basis = make().basis
+        with pytest.raises(ValueError, match=rf"n = 2, got {2 + extra}"):
+            basis.synth_values(np.ones(basis.n + extra), 64)
+
+    def test_kernel_lift(self, make, extra):
+        # on theta = z^n an extra coordinate used to fold into z^n
+        sp = make()
+        lam = point_spectrum(sp, cross_check=False).points[0].lam
+        with pytest.raises(ValueError, match=rf"got {4 + extra}"):
+            kernel_lift(sp, np.ones(2 * sp.n + extra), lam=lam)
+
+    def test_resolvent_apply(self, make, extra, monkeypatch):
+        import dualband.factorization as fz
+
+        def factors(*args):
+            raise AssertionError("factors built")
+
+        monkeypatch.setattr(fz, "_canonical_literals", factors)
+        sp = make()
+        with pytest.raises(ValueError, match=rf"got {4 + extra}"):
+            resolvent_apply(sp, 0.3, np.ones(2 * sp.n + extra))
 
 
 class TestBlockIdentity:

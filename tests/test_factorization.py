@@ -37,6 +37,17 @@ def twist_space():
     return build_dualband(InnerFunction.monomial(2), phi=Z(0), psi=psi)
 
 
+def large_twist_space(n=64, a=0.5):
+    """The twist band over theta = z^n; at n = 64 its extension grid is
+    G = 16384, where one sample array takes 256 KiB."""
+    num = [0.0] * (2 * n + 1)
+    den = [0.0] * (2 * n + 1)
+    num[0], num[2 * n] = -a, 1.0
+    den[0], den[2 * n] = 1.0, -a
+    psi = Z(n).conj() * LaurentSymbol.rational(num, den)
+    return build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi)
+
+
 def two_sided_space():
     return build_dualband(InnerFunction.blaschke([-0.4]),
                           aplus=LaurentSymbol.from_coeffs({0: 2.5}),
@@ -321,14 +332,19 @@ class TestResolventWithFactors:
 
     def test_same_bits_on_every_canonical_branch(self):
         # the literal path (no factors) and the stacked one read the same
-        # entries with the same arithmetic
+        # entries with the same arithmetic; the large twist runs on arrays
+        # big enough for numpy to reuse temporaries in place
+        big = large_twist_space()
+        assert big.extension_grid() == 16384
+        cases = [(*scenario_case(path), None) for path in SCENARIOS]
+        cases.append((SimpleNamespace(name="twist n=64", lambdas=()), big,
+                       (0.3 * np.exp(0.7j), 2.5 * np.exp(0.7j))))
         seen = set()
-        for path in SCENARIOS:
-            scn, sp = scenario_case(path)
+        for scn, sp, lams in cases:
             rng = np.random.default_rng(13)
             h = rng.standard_normal(2 * sp.n) + \
                 1j * rng.standard_normal(2 * sp.n)
-            for lam in (*scn.lambdas, *PLUS_LAMBDAS):
+            for lam in lams or (*scn.lambdas, *PLUS_LAMBDAS):
                 res = canonical_factors(sp, lam)
                 got, gdiag = resolvent_apply(sp, lam, h, factors=res)
                 want, wdiag = resolvent_apply(sp, lam, h)
