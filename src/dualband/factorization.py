@@ -58,7 +58,7 @@ factors are stacked where they are built.
 
 Working set: a resolvent solve holds a bounded number of length-G
 arrays, however many entries its factors have: at G = 16384 about 23
-(5.6 MiB), where holding every entry of every factor took 53.  No buffer
+(5.6 MiB), where holding every entry of every factor took 54.  No buffer
 outlives a call.  Each formula keeps its expression as written: numpy's
 complex product is not bitwise commutative, and on arrays of 256 KiB or
 more numpy may evaluate a * (b + c) inside the temporary as (b + c) * a,
