@@ -103,8 +103,12 @@ class ModelSpaceBasis:
         G = fvals.size
         if self.is_monomial:
             return grid_fft(fvals)[np.arange(self.n) % G]
-        V = self.values(G)
-        return (V.conj() @ fvals) / G
+        # conj(V @ conj(f)) is V.conj() @ f without a conjugated copy of
+        # the (n, G) basis; 0 - imag, not a negation, keeps the sign of
+        # an exactly zero imaginary part, so the bits are the same
+        w = self.values(G) @ np.conj(fvals)
+        np.subtract(0.0, w.imag, out=w.imag)
+        return w / G
 
     def synth_values(self, coeffs, G):
         """Samples of sum_k coeffs[k] e_k on the size-G grid.  ValueError,

@@ -1,10 +1,21 @@
 """Scenario files: a sectioned key = value text format driving the CLI.
 
 A scenario describes one dual-band space, an optional operator symbol,
-a task list, and numeric overrides.  Symbol values use a small
-expression grammar: mono(k), poly([c...], offset), blaschke([a...], c),
-rat(num, den, shift), atomic([(xi, mu), ...]), combined with *, +, -,
-conj(...), and complex literals written with an i or j suffix.
+a task list, and numeric overrides.  A value is read by Python's own
+parser, ``ast.parse(value, mode="eval")``, once a numeral's i suffix is
+rewritten to j (same length, so columns hold), and its tree may hold
+only: decimal numerals with an optional i or j, and the names i and j;
+binary +, -, * and unary -; calls of a bare constructor name with
+positional arguments: mono(k), poly([c...], offset), blaschke([a...], c),
+rat(num, den, shift), atomic([(xi, mu), ...]), conj(...); lists, with
+(point, mass) pairs as items.  Any other syntax (/, **, keywords, 0x10,
+1_0, 2J, 007), text outside printable ASCII and tab (Unicode digits and
+spaces included), or a value nested deeper than the parser allows (200
+parentheses; about a thousand operators, fewer on some Python versions;
+write a long expansion as poly([...])) is a ScenarioError naming line
+and column.  A trailing comma is allowed; an empty item is not.
+[lambdas] and [rfactors] values parse as one tuple expression, so
+parentheses around the whole list are allowed too.
 
 Sections and keys:
 
@@ -22,10 +33,11 @@ column positions; a constructor's refusal of its arguments is one.
 be a finite Blaschke product: atomic factors are evaluation-only.
 """
 
+import ast
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ScenarioError
 from .symbols import InnerFunction, LaurentSymbol
@@ -46,158 +58,84 @@ _SECTION_KEYS = {
 
 
 # ---------------------------------------------------------------------------
-# expression tokenizer
+# expression reader
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?[ij]?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[()\[\],+\-*])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-
-def _tokenize(text, line):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ScenarioError(
-                f"line {line}, col {pos + 1}: unexpected character "
-                f"{text[pos]!r}")
-        if m.lastgroup == "num":
-            raw = m.group("num")
-            if raw[-1] in "ij":
-                val = complex(0.0, float(raw[:-1]))
-            else:
-                val = complex(float(raw), 0.0)
-            toks.append(("num", val, pos + 1))
-        elif m.lastgroup == "name":
-            toks.append(("name", m.group("name"), pos + 1))
-        elif m.lastgroup == "punct":
-            toks.append((m.group("punct"), m.group("punct"), pos + 1))
-        pos = m.end()
-    toks.append(("end", None, len(text) + 1))
-    return toks
+# a numeral as the scenario language writes it, i or j marking imaginary
+_NUMERAL = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?[ij]?")
+# a numeral's i suffix, which Python spells j: same length, same columns
+_I_SUFFIX = re.compile(r"(?<=[\d.])i")
+# all but printable ASCII and tabs; col_offset counts UTF-8 bytes
+_FOREIGN = re.compile(r"[^\t -~]")
 
 
 class _Parser:
-    """Recursive-descent reader for one expression string."""
+    """Evaluates one value's Python syntax tree over the admitted subset."""
 
     def __init__(self, text, line, mode):
-        self.toks = _tokenize(text, line)
-        self.i = 0
+        self.text = text.strip()
         self.line = line
         self.mode = mode  # "inner" or "symbol"
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ScenarioError(
-                f"line {self.line}, col {tok[2]}: expected {kind!r}, "
-                f"got {tok[1]!r}")
-        return tok
+        self.col = 1
 
     def fail(self, msg):
-        col = self.toks[self.i][2]
-        raise ScenarioError(f"line {self.line}, col {col}: {msg}")
+        raise ScenarioError(f"line {self.line}, col {self.col}: {msg}")
 
-    # expr := term (('+' | '-') term)*
-    def expr(self):
-        val = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            val = _add(val, rhs, self) if op == "+" else _sub(val, rhs, self)
-        return val
-
-    # term := factor ('*' factor)*
-    def term(self):
-        val = self.factor()
-        while self.peek() == "*":
-            self.next()
-            val = _mul(val, self.factor(), self)
-        return val
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return _neg(self.factor(), self)
-        return self.atom()
-
-    def atom(self):
-        kind = self.peek()
-        if kind == "num":
-            return self.next()[1]
-        if kind == "(":
-            self.next()
-            val = self.expr()
-            self.expect(")")
-            return val
-        if kind == "[":
-            return self.list_literal()
-        if kind == "name":
-            name = self.next()[1]
-            if name in ("i", "j"):
-                return complex(0.0, 1.0)
-            if self.peek() != "(":
-                self.fail(f"unknown name {name!r}")
-            self.next()
-            args = []
-            if self.peek() != ")":
-                args.append(self.argument())
-                while self.peek() == ",":
-                    self.next()
-                    args.append(self.argument())
-            self.expect(")")
-            return self.call(name, args)
-        self.fail("expected a value")
-
-    def argument(self):
-        if self.peek() == "[":
-            return self.list_literal()
-        return self.expr()
-
-    def list_literal(self):
-        self.expect("[")
-        items = []
-        if self.peek() != "]":
-            items.append(self.list_item())
-            while self.peek() == ",":
-                self.next()
-                items.append(self.list_item())
-        self.expect("]")
-        return items
-
-    def list_item(self):
-        # a '(' inside a list may open a (xi, mu) pair or a grouped expr
-        if self.peek() == "(":
-            self.next()
-            first = self.expr()
-            if self.peek() == ",":
-                self.next()
-                second = self.expr()
-                self.expect(")")
-                return (first, second)
-            self.expect(")")
-            return first
-        return self.expr()
-
-    def call(self, name, args):
-        build = _inner_call if self.mode == "inner" else _symbol_call
+    def parse(self, items=False):
+        """The value; with items, a comma list read as one tuple."""
+        bad = _FOREIGN.search(self.text)
+        if bad:
+            self.col = bad.start() + 1
+            self.fail(f"unexpected character {bad.group()!r}")
         try:
-            return build(name, args, self)
-        except ValueError as exc:
-            # a constructor's refusal of its arguments is an input error
-            self.fail(str(exc))
+            node = ast.parse(_I_SUFFIX.sub("j", self.text), mode="eval").body
+            if items and type(node) is ast.Tuple:
+                return [self.value(n) for n in node.elts]
+            val = self.value(node)
+        except SyntaxError as exc:
+            self.col = exc.offset or 1
+            self.fail(exc.msg)
+        except (RecursionError, MemoryError):
+            # how CPython's parser, or this walk, refuses deep nesting
+            self.col = 1
+            self.fail("value nested too deeply")
+        return [val] if items else val
+
+    def value(self, node, item=False):
+        kind = type(node)
+        src = self.text[node.col_offset:node.end_col_offset]
+        if kind is ast.Constant and _NUMERAL.fullmatch(src):
+            if src[-1] in "ij":
+                return complex(0.0, float(src[:-1]))
+            return complex(float(src), 0.0)
+        if kind is ast.Call and type(node.func) is ast.Name \
+                and not node.keywords:
+            args = [self.value(arg) for arg in node.args]
+            self.col = node.col_offset + 1
+            build = _inner_call if self.mode == "inner" else _symbol_call
+            try:
+                return build(node.func.id, args, self)
+            except ValueError as exc:
+                # a constructor's refusal of its arguments is an input error
+                self.fail(str(exc))
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            a, b = self.value(node.left), self.value(node.right)
+            self.col = node.col_offset + 1
+            return _BINARY[type(node.op)](a, b, self)
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            a = self.value(node.operand)
+            self.col = node.col_offset + 1
+            return _neg(a, self)
+        if kind is ast.List:
+            return [self.value(elt, item=True) for elt in node.elts]
+        if item and kind is ast.Tuple and len(node.elts) == 2:
+            # a (point, mass) pair
+            return tuple(self.value(elt) for elt in node.elts)
+        self.col = node.col_offset + 1
+        if kind is ast.Name:
+            if src in ("i", "j"):
+                return complex(0.0, 1.0)
+            self.fail(f"unknown name {src!r}")
+        self.fail(f"unsupported syntax {src!r}")
 
 
 def _as_int(val, parser, what):
@@ -318,6 +256,9 @@ def _neg(a, parser):
     parser.fail("cannot negate this value")
 
 
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul}
+
+
 def _promote(val, parser):
     if isinstance(val, LaurentSymbol):
         return val
@@ -328,11 +269,7 @@ def _promote(val, parser):
 
 def parse_expression(text, line=1, mode="symbol"):
     """Evaluate one expression string; mode selects the constructor set."""
-    p = _Parser(text, line, mode)
-    val = p.expr()
-    if p.peek() != "end":
-        p.fail("trailing input after expression")
-    return val
+    return _Parser(text, line, mode).parse()
 
 
 def _parse_symbol(text, line):
@@ -350,23 +287,6 @@ def _parse_complex(text, line):
     if not isinstance(val, complex):
         raise ScenarioError(f"line {line}: expected a number, got a symbol")
     return val
-
-
-def _split_top_level(text):
-    """Split on commas that are not nested in brackets or parens."""
-    parts = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:k])
-            start = k + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +309,6 @@ class Scenario:
     cutoff: int = None
     digest: str = ""
     path: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def realized(self):
@@ -467,7 +386,7 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     if tasks_text is None:
         raise ScenarioError("scenario is missing [tasks] run")
     tasks = []
-    for item in _split_top_level(tasks_text):
+    for item in filter(None, (t.strip() for t in tasks_text.split(","))):
         if item == "all":
             tasks.extend(TASK_NAMES)
         elif item in TASK_NAMES:
@@ -477,19 +396,18 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     seen = set()
     tasks = tuple(t for t in tasks if not (t in seen or seen.add(t)))
 
-    lam_text, lam_line = take("lambdas", "values")
-    lambdas = tuple(_parse_complex(p, lam_line)
-                    for p in _split_top_level(lam_text)) if lam_text else ()
+    def items(section, kind, msg):
+        """A section's comma list of values, read as one tuple."""
+        text_k, line_k = take(section, "values")
+        if not text_k:
+            return ()
+        vals = tuple(_Parser(text_k, line_k, "symbol").parse(items=True))
+        if not all(isinstance(v, kind) for v in vals):
+            raise ScenarioError(f"line {line_k}: {msg}")
+        return vals
 
-    r_text, r_line = take("rfactors", "values")
-    rfactors = ()
-    if r_text:
-        rfactors = tuple(parse_expression(p, r_line, mode="symbol")
-                         for p in _split_top_level(r_text))
-        for r in rfactors:
-            if not isinstance(r, LaurentSymbol):
-                raise ScenarioError(f"line {r_line}: rfactors must be "
-                                    "symbols")
+    lambdas = items("lambdas", complex, "expected a number, got a symbol")
+    rfactors = items("rfactors", LaurentSymbol, "rfactors must be symbols")
 
     grid_text, grid_line = take("numerics", "grid")
     tol_text, tol_line = take("numerics", "tol")

@@ -163,3 +163,49 @@ class TestSameBits:
         with pytest.raises(NonKernelInputError):
             kernel_project(sp, vec, lam=p.lam)
         assert calls == [1, 1]
+
+
+@pytest.fixture(scope="module", params=["free", "realized"])
+def blaschke_space(request):
+    """A space over 32 random zeros, |a| <= 0.5: a non-monomial theta."""
+    rng = np.random.default_rng(5)
+    zeros = 0.5 * np.sqrt(rng.random(32)) * np.exp(2j * np.pi * rng.random(32))
+    theta = InnerFunction.blaschke(zeros)
+    if request.param == "free":
+        return build_dualband(theta, aplus=LaurentSymbol.constant(0.8),
+                              aminus=LaurentSymbol.constant(0.6))
+    return build_dualband(theta, phi=Z(0), psi=Z(1) * theta.as_symbol())
+
+
+class TestNonMonomialProjection:
+    """``project_values`` on a non-monomial theta reads the (n, G) basis
+    without a conjugated copy of it, and gives the bits of
+    ``V.conj() @ f / G``."""
+
+    G = 2048
+
+    def stacks(self):
+        rng = np.random.default_rng(11)
+        G = self.G
+        yield rng.standard_normal((2, G)) + 1j * rng.standard_normal((2, G))
+        yield rng.standard_normal((2, G)) + 0j
+        yield np.zeros((2, G), dtype=complex)
+        yield np.full((2, G), -0.0 + 0j)
+
+    def test_same_bits_as_the_conjugated_basis(self, blaschke_space):
+        sp = blaschke_space
+        V = sp.basis.values(self.G)
+        for F in self.stacks():
+            want = np.concatenate([(V.conj() @ F[0]) / self.G,
+                                   (V.conj() @ F[1]) / self.G])
+            assert same_bits(sp.project_bands(F), want)
+        # a basis row and |e_0|^2 have imaginary parts that cancel exactly
+        for f in (V[5].copy(), (np.conj(V[0]) * V[0])):
+            assert same_bits(sp.basis.project_values(f),
+                             (V.conj() @ f) / self.G)
+
+    def test_no_copy_of_the_basis(self, blaschke_space):
+        sp = blaschke_space
+        f = np.random.default_rng(3).standard_normal(self.G) + 0j
+        used = peak_arrays(self.G, lambda: sp.basis.project_values(f))
+        assert used <= 2
