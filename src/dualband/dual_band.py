@@ -201,7 +201,9 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
     band ratio is a constant multiple of theta).  When theta is a power
     of z the split of conj(psi) phi into co-analytic and analytic halves
     around theta is extracted by frequency bookkeeping; otherwise a
-    caller-supplied split is accepted after residual validation.
+    caller-supplied split is used.  Either split must reproduce the
+    band ratio on the grid within TOL_SPLIT, else
+    MissingDecompositionError.
 
     Free mode (no phi/psi) requires theta, aplus, aminus.
     """
@@ -253,15 +255,16 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
 
     if aplus is not None and aminus is not None:
         _validate_split_tails(aplus, aminus, report)
+        origin = "supplied"
+    elif basis.is_monomial:
+        aplus, aminus = _extract_split_monomial(bw, n)
+        origin = "extracted"
+    if aplus is not None and aminus is not None:
         res = _split_residual(theta, bw, aplus, aminus, G)
         report["split_residual"] = res
         if res > TOL_SPLIT:
             raise MissingDecompositionError(
-                f"supplied split does not reproduce the band ratio: {res:.3e}")
-    elif basis.is_monomial:
-        aplus, aminus = _extract_split_monomial(bw, n)
-        report["split_residual"] = _split_residual(
-            theta, bw, aplus, aminus, G)
+                f"{origin} split does not reproduce the band ratio: {res:.3e}")
     # otherwise the split stays absent; spectral formulas will demand it
 
     return DualBandSpace(theta, basis, phi, psi, aplus, aminus, (fw, bw),
@@ -289,7 +292,9 @@ def _split_residual(theta, ratio_bw, aplus, aminus, G):
 
 def _extract_split_monomial(ratio_bw, n):
     """Split conj(psi) phi = aminus z^-n + aplus z^n by frequency shift."""
-    # coefficients below 1e-15 are refinement-policy alias noise
+    # the ratio's coefficients are read on its quadrature grid, and those
+    # at or below 1e-15 are dropped; split_residual reports what that
+    # truncation leaves out
     coeffs = ratio_bw.coeff_dict(tol=1e-15)
     plus = {j - n: c for j, c in coeffs.items() if j >= n}
     minus = {j + n: c for j, c in coeffs.items() if j <= -n}

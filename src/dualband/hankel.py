@@ -73,7 +73,7 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
     tbs = space.basis.theta_symbol.conj()
     # (coefficients, lowest index) of conj(theta) g once: both diagonal
     # entries are g
-    coeffs = {key: (tbs * entries[key]).fourier_coeffs()[:2]
+    coeffs = {key: (tbs * entries[key]).fourier_coeffs()
               for key in ((0, 0), (0, 1), (1, 0))}
     coeffs[(1, 1)] = coeffs[(0, 0)]
     depth = space.n

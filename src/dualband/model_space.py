@@ -11,7 +11,7 @@ at the origin this is the monomial basis {1, z, ..., z^{n-1}}.
 
 Inner products are grid averages over dyadic grids, which are exact for
 trigonometric polynomials below the Nyquist frequency and alias-bounded
-otherwise via the refinement policy in :mod:`dualband.symbols`.
+otherwise via the quadrature rule ``choose_grid`` in :mod:`dualband.symbols`.
 
 On the monomial basis (theta = c z^n, ``InnerFunction.is_monomial``) the grid
 average <f, z^k> is the FFT coefficient of f at index k mod G, so the

@@ -37,7 +37,11 @@ Two grid rules pick ``G`` when the caller does not:
   doubling.  The trapezoidal rule converges geometrically for a
   rational, at a rate its poles set, so its own data fix where to
   start.  A grid above ``GRID_CAP`` raises ``CoefficientError``.  It
-  serves the compressions on K_theta and on the dual-band space.
+  serves the compressions on K_theta and on the dual-band space, and
+  every coefficient read made without a G (``fourier_coeffs``,
+  ``coeff_dict``, ``tail_energy``).  The guard doubling squares a
+  rational's geometric alias (Trefethen and Weideman, SIAM Review 56,
+  2014), so coefficients down to about 1e-15 are the symbol's own.
 * The extension rule, ``DualBandSpace.extension_grid``: the quadrature
   grid of the space and g (for the R family, g is R) with eight more
   frequencies of span, raised to the power of two at or above four
@@ -76,7 +80,6 @@ TAU_ROOT = 1e-9      # denominator roots must stay this far from the circle
 TAU_DISC = 1e-12     # Blaschke zeros must stay inside by this margin
 TAU_EVAL = 1e-10     # pointwise evaluation agreement tolerance
 TAU_ALIAS = 1e-12    # band-energy threshold for the grid refinement policy
-GRID_START = 1024
 GRID_CAP = 2 ** 20
 
 
@@ -286,32 +289,20 @@ class LaurentSymbol:
 
     # ----------------------------------------------------------- transforms
     def fourier_coeffs(self, G=None):
-        """Fourier coefficients over [-G/2, G/2).
+        """Fourier coefficients over [-G/2, G/2), as (coeffs, lowest_index).
 
-        Returns (coeffs, lowest_index, alias_bound).  For the laurent kind
-        with G above twice the span the result is exact and alias_bound 0;
-        a too-small G aliases, as plain FFT sampling does.  For the rational
-        kind G=None invokes the refinement policy (start at GRID_START,
-        double until the energy in the top and bottom eighth of the index
-        range drops below TAU_ALIAS, cap at GRID_CAP).  It keeps
-        GRID_START rather than ``choose_grid``'s degree-set start: no
-        guard doubling follows here, and at the bare refined grid the
-        coefficients near +-G/2 alias at about 1e-8, which a caller
-        thresholding at 1e-15 (``coeff_dict``) would read as terms.
+        Without a G they are read on the quadrature grid,
+        ``choose_grid([self])``: exact for the laurent kind, and for the
+        rational kind aliased by about 1e-16 at most, near +-G/2.  A G
+        the caller gives is used as it stands; one at or below twice the
+        span aliases, as plain FFT sampling does.
         """
-        if self.kind == "laurent" and G is None:
-            span = self.span()
-            G = max(8, _next_pow2(2 * span + 2))
-        if G is None:
-            G, alias = refine_grid(self)
-        else:
-            alias = band_energy(self.sample(G))
+        G = G or choose_grid([self])
         c = grid_fft(self.sample(G))
-        shifted = np.concatenate([c[G // 2:], c[:G // 2]])
-        return shifted, -(G // 2), float(alias)
+        return np.concatenate([c[G // 2:], c[:G // 2]]), -(G // 2)
 
     def coeff_dict(self, G=None, tol=0.0):
-        c, lo, _ = self.fourier_coeffs(G)
+        c, lo = self.fourier_coeffs(G)
         keep = np.flatnonzero(np.abs(c) > tol)
         return dict(zip((lo + keep).tolist(), c[keep]))
 
@@ -374,7 +365,7 @@ class LaurentSymbol:
     # ----------------------------------------------------------- analysis
     def tail_energy(self, band, G=None):
         """Energy sum(|c_j|^2) over the frequency mask band(frequencies)."""
-        c, lo, _ = self.fourier_coeffs(G)
+        c, lo = self.fourier_coeffs(G)
         idx = np.arange(lo, lo + c.size)
         return float(np.sum(np.abs(c[band(idx)]) ** 2))
 
@@ -418,19 +409,20 @@ def band_energy(values):
     return float(np.sum(np.abs(c[mask]) ** 2))
 
 
-def refine_grid(obj, start=GRID_START, tau=TAU_ALIAS, cap=GRID_CAP):
-    """Double the grid until the outer-eighth coefficient energy is small.
+def refine_grid(obj, start):
+    """Double the grid from start until the outer-eighth coefficient
+    energy is at most TAU_ALIAS.
 
-    Returns (G, achieved_band_energy).  Raises CoefficientError when the
-    cap is reached without convergence (for instance near an essential
-    singularity on the circle).
+    Returns (G, achieved_band_energy).  Raises CoefficientError when
+    GRID_CAP is reached without convergence (for instance near an
+    essential singularity on the circle).
     """
     G = start
     while True:
         e = band_energy(obj.sample(G))
-        if e <= tau:
+        if e <= TAU_ALIAS:
             return G, e
-        if G >= cap:
+        if G >= GRID_CAP:
             raise CoefficientError(
                 f"grid refinement stalled at G={G}, band energy {e:.3e}")
         G *= 2

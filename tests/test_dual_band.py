@@ -95,16 +95,51 @@ def free_space():
 
 
 class TestExtractedSplit:
-    @pytest.mark.xfail(strict=True, reason=(
-        "_extract_split_monomial reads the band ratio's coefficients at "
-        "the refinement grid, where the twist ratio aliases: aplus comes "
-        "back with support (0, 480) and split_residual 1.1e-8"))
-    def test_twist_split_is_the_constant(self):
+    @pytest.mark.parametrize("n, a", [
+        (2, 0.3), (8, 0.5), (16, 0.3), (32, 0.5), (64, 0.5), (128, 0.5),
+        (256, 0.3),
+    ])
+    def test_twist_split_is_the_constant(self, n, a):
         # conj(psi) phi = -a z^n + (1 - a^2) sum_k a^k z^-(2k + 1) n, so
-        # aplus is the constant -a; TOL_SPLIT bounds supplied splits
-        sp = twist_space(16, 0.3)
+        # aplus is the constant -a
+        sp = twist_space(n, a)
         assert sp.aplus.support() == (0, 0)
-        assert sp.report["split_residual"] <= dualband.dual_band.TOL_SPLIT
+        assert abs(sp.aplus.coeffs[0] + a) <= 1e-15
+        assert sp.report["split_residual"] <= 1e-14
+        if n == 256:
+            assert len(point_spectrum(sp).points) == 2 * n
+
+    def test_extracted_split_is_gated(self, monkeypatch):
+        # an extracted split off by 1e-6 is refused as a supplied one is
+        extract = dualband.dual_band._extract_split_monomial
+
+        def off(ratio_bw, n):
+            aplus, aminus = extract(ratio_bw, n)
+            return aplus + 1e-6, aminus
+
+        monkeypatch.setattr(dualband.dual_band, "_extract_split_monomial",
+                            off)
+        with pytest.raises(MissingDecompositionError,
+                           match="extracted split does not reproduce"):
+            twist_space(16, 0.3)
+
+    @pytest.mark.parametrize("n, a", [(16, 0.3), (32, 0.5), (64, 0.5)])
+    def test_exact_twist_split_accepted(self, n, a):
+        # aplus = -a and aminus = (1 - a^2) z^2n / (z^2n - a), supplied
+        num = np.zeros(2 * n + 1)
+        den = np.zeros(2 * n + 1)
+        num[2 * n] = 1.0 - a * a
+        den[0], den[2 * n] = -a, 1.0
+        psi = twist_space(n, a).psi
+        sp = build_dualband(InnerFunction.monomial(n), phi=Z(0), psi=psi,
+                            aplus=LaurentSymbol.constant(-a),
+                            aminus=LaurentSymbol.rational(num, den))
+        assert sp.report["split_residual"] <= 1e-14
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        _, diag = resolvent_apply(sp, 0.3 * np.exp(0.7j), h)
+        assert diag["residual"] <= 1e-13
+
 
 class TestExtensionGrid:
     @pytest.mark.parametrize("n_ext", [0, 127, 128, 1023, 1024, 2000])

@@ -134,7 +134,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("tol", [0.0, 1e-15])
     def test_coeff_dict_matches_comprehension(self, make, tol):
         s = make()
-        c, lo, _ = s.fourier_coeffs()
+        c, lo = s.fourier_coeffs()
         want = {lo + i: v for i, v in enumerate(c) if abs(v) > tol}
         got = s.coeff_dict(tol=tol)
         assert list(got) == list(want)
@@ -388,7 +388,7 @@ class TestMassPointsRefused:
 class TestGrids:
     def test_refine_grid_terminates(self):
         s = LaurentSymbol.rational([1.0], [1.0, -0.9])
-        G, alias = refine_grid(s)
+        G, alias = refine_grid(s, start=1024)
         assert G >= 1024 and (G & (G - 1)) == 0
         assert alias < 1e-12
 
@@ -494,12 +494,12 @@ class TestSampleMemo:
 
 class TestGridOracle:
     def test_twist_split_and_psi_on_the_grid(self):
-        # the twist at n = 64: a split 3969 coefficients wide and a
+        # the twist at n = 64: a split 6273 coefficients wide and a
         # rational psi with poles near the circle, against 40 digits
         mpmath = pytest.importorskip("mpmath")
         G = 16384
         sp = twist_space(64, 0.5)
-        assert sp.aminus.support() == (-3968, 0)
+        assert sp.aminus.support() == (-6272, 0)
 
         def poly(coeffs, lo, z):
             return mpmath.fsum(mpmath.mpc(complex(c)) * z ** (lo + i)
