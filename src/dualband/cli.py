@@ -1,10 +1,13 @@
 """Command line runner: scenario ingestion, tasks, reports, goldens.
 
-Each task checks its own contract thresholds; a run exits 0 when every
-task met its contract, 2 when a residual exceeded a threshold, and 3 on
-input errors (unparseable scenario, degenerate space, missing task
-prerequisites).  Reports are JSON with sorted keys so that repeated runs
-are byte-identical apart from the timing block.
+Each task checks its results against its limits in ``CONTRACTS``; a
+run exits 0 when every task met its contract, 2 when a residual exceeded
+a limit, and 3 on input errors (unparseable scenario, degenerate space,
+missing task prerequisites, a usage error on the command line).  Every
+grid a task uses comes from the space's quadrature or extension rule,
+and is reported with each factorization and solve.  Reports are JSON
+with sorted keys so that repeated runs are byte-identical apart from the
+timing block.
 """
 
 import argparse
@@ -45,13 +48,6 @@ CONTRACTS = {
 RESOLVENT_SEED = 20260819
 
 
-def _limit(opts, key):
-    # a tol override replaces every module threshold at once
-    if opts.get("tol") is not None:
-        return opts["tol"]
-    return CONTRACTS[key]
-
-
 def _check(violations, label, value, limit, where=""):
     """Record "<label> <value> [at <where>] exceeds <limit>" when value is
     above limit or is NaN, which compares False with every limit and
@@ -84,23 +80,22 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # tasks
 #
-# Every task takes (space, scn, opts).  Some also take a dict of one
-# run's results passed along (``_PASSED``): the factorize and resolvent
-# tasks take ``factors``, the canonical factorizations
-# {lam: FactorizationResult} at the run's grid, which the factorize task
-# fills and the resolvent task solves with instead of building them
-# again; the spectrum and kernel tasks take ``spectrum``, where the
-# spectrum task puts its point spectrum under "points" for the kernel
-# task to lift.
+# Every task takes (space, scn) and checks its results against its
+# limits in CONTRACTS.  Some also take a dict of one run's results
+# passed along (``_PASSED``): the factorize and resolvent tasks take
+# ``factors``, the canonical factorizations {lam: FactorizationResult}
+# on the space's extension grid, which the factorize task fills and the
+# resolvent task solves with instead of building them again; the
+# spectrum and kernel tasks take ``spectrum``, where the spectrum task
+# puts its point spectrum under "points" for the kernel task to lift.
+# Kernel lifts start from kernel_lift's default window.
 
-def _task_validate(space, scn, opts):
-    lim = _limit(opts, "validate")
-    G = opts.get("grid")
-    assembly = unitary_equiv_check(space, scn.g, G=G)
-    cm = cm_symmetry_residual(space, scn.g, G=G)
+def _task_validate(space, scn):
+    lim = CONTRACTS["validate"]
+    assembly = unitary_equiv_check(space, scn.g)
+    cm = cm_symmetry_residual(space, scn.g)
     zero, block_norms = is_zero_operator(space, scn.g)
-    tnorm = float(np.linalg.norm(dualband_matrix(space, scn.g, G=G).entries,
-                                 2))
+    tnorm = float(np.linalg.norm(dualband_matrix(space, scn.g).entries, 2))
     zero_by_norm = tnorm <= 2 * space.n * 1e-10
     shift = shift_quadrature_residual(space)
     violations = []
@@ -122,8 +117,8 @@ def _task_validate(space, scn, opts):
     }
 
 
-def _task_spectrum(space, scn, opts, spectrum=None):
-    lim = _limit(opts, "spectrum")
+def _task_spectrum(space, scn, spectrum=None):
+    lim = CONTRACTS["spectrum"]
     rep = point_spectrum(space)
     if spectrum is not None:
         spectrum["points"] = rep.points
@@ -146,17 +141,16 @@ def _task_spectrum(space, scn, opts, spectrum=None):
     }
 
 
-def _task_kernel(space, scn, opts, spectrum=None):
-    lim = _limit(opts, "kernel")
+def _task_kernel(space, scn, spectrum=None):
+    lim = CONTRACTS["kernel"]
     points = (spectrum or {}).get("points")
     if points is None:
         points = point_spectrum(space, cross_check=False).points
-    n_ext = opts.get("cutoff") or 128
     entries = []
     violations = []
     for p in points:
         for row in np.atleast_2d(p.coords):
-            vec = kernel_lift(space, row, lam=p.lam, n_ext=n_ext)
+            vec = kernel_lift(space, row, lam=p.lam)
             back = kernel_project(space, vec, lam=p.lam)
             scale = float(np.linalg.norm(row))
             roundtrip = float(np.linalg.norm(back - row)) / scale
@@ -172,13 +166,13 @@ def _task_kernel(space, scn, opts, spectrum=None):
     return out
 
 
-def _task_factorize(space, scn, opts, factors=None):
-    ilim = _limit(opts, "factorize_identity")
-    tlim = _limit(opts, "factorize_tail")
-    dlim = _limit(opts, "factorize_det")
+def _task_factorize(space, scn, factors=None):
+    ilim = CONTRACTS["factorize_identity"]
+    tlim = CONTRACTS["factorize_tail"]
+    dlim = CONTRACTS["factorize_det"]
     violations = []
     canonical = []
-    G = opts.get("grid") or space.extension_grid()
+    G = space.extension_grid()
     for lam in scn.lambdas:
         res = canonical_factors(space, lam, G=G)
         if factors is not None:
@@ -196,7 +190,7 @@ def _task_factorize(space, scn, opts, factors=None):
             _check(violations, key, chk[key], dlim, lam)
     meromorphic = []
     for R in scn.rfactors:
-        GR = opts.get("grid") or space.extension_grid(R)
+        GR = space.extension_grid(R)
         res = meromorphic_factors(space, R, G=GR)
         chk = verify_factorization(res)
         _, _, split_res = hminus_split(space, R, G=GR)
@@ -211,15 +205,15 @@ def _task_factorize(space, scn, opts, factors=None):
             "canonical": canonical, "meromorphic": meromorphic}
 
 
-def _task_resolvent(space, scn, opts, factors=None):
-    lim = _limit(opts, "resolvent")
+def _task_resolvent(space, scn, factors=None):
+    lim = CONTRACTS["resolvent"]
     rng = np.random.default_rng(RESOLVENT_SEED)
     h = rng.standard_normal(2 * space.n) + \
         1j * rng.standard_normal(2 * space.n)
     violations = []
     solves = []
     for lam in scn.lambdas:
-        _, diag = resolvent_apply(space, lam, h, G=opts.get("grid"),
+        _, diag = resolvent_apply(space, lam, h,
                                   factors=(factors or {}).get(lam))
         solves.append({"lambda": lam, "residual": diag["residual"],
                        "cond_minus": diag["cond_minus"], "grid": diag["grid"],
@@ -232,8 +226,8 @@ def _task_resolvent(space, scn, opts, factors=None):
             "solves": solves}
 
 
-def _task_norm(space, scn, opts):
-    lim = _limit(opts, "norm")
+def _task_norm(space, scn):
+    lim = CONTRACTS["norm"]
     rep = hankel_norm(space, scn.g)
     tnorm = float(np.linalg.norm(dualband_matrix(space, scn.g).entries, 2))
     # np.ptp, unlike max() - min() on a tuple, carries a NaN through
@@ -261,12 +255,13 @@ _PASSED = {"factorize": "factors", "resolvent": "factors",
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run_scenario(scn, opts, fail_fast=False):
-    """Run a scenario's tasks; returns (report dict, exit code)."""
-    tasks = opts.get("tasks") or scn.tasks
+def run_scenario(scn, tasks=None):
+    """Run the given tasks, by default the scenario's own list; returns
+    (report dict, exit code)."""
+    tasks = tasks or scn.tasks
     check_prerequisites(scn, tasks)
     t_start = time.perf_counter()
-    space = build_space(scn, grid=opts.get("grid"))
+    space = build_space(scn)
 
     results = {}
     timings = {}
@@ -276,15 +271,13 @@ def run_scenario(scn, opts, fail_fast=False):
         shared = ({_PASSED[name]: passed[_PASSED[name]]}
                   if name in _PASSED else {})
         try:
-            res = _TASKS[name](space, scn, opts, **shared)
+            res = _TASKS[name](space, scn, **shared)
         except DualbandError as exc:
             res = {"ok": False, "input_error": True,
                    "error": f"{type(exc).__name__}: {exc}",
                    "violations": []}
         results[name] = res
         timings[name] = time.perf_counter() - t0
-        if fail_fast and not res["ok"]:
-            break
 
     timings["total"] = time.perf_counter() - t_start
     report = {
@@ -304,26 +297,23 @@ def run_scenario(scn, opts, fail_fast=False):
     return report, code
 
 
-def write_artifacts(report, out_dir, fmt="both"):
+def write_artifacts(report, out_dir):
+    """Write the JSON report, and the eigenvalue CSV when the spectrum
+    task listed points."""
     os.makedirs(out_dir, exist_ok=True)
     name = report["name"]
-    paths = []
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{name}.report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        paths.append(path)
+    with open(os.path.join(out_dir, f"{name}.report.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
+        fh.write("\n")
     spectrum = report["tasks"].get("spectrum")
-    if fmt in ("csv", "both") and spectrum and "points" in spectrum:
-        path = os.path.join(out_dir, f"{name}.eigs.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+    if spectrum and "points" in spectrum:
+        with open(os.path.join(out_dir, f"{name}.eigs.csv"), "w",
+                  encoding="utf-8") as fh:
             fh.write("re,im,ker_dim,residual\n")
             for p in spectrum["points"]:
                 fh.write(f"{p['re']!r},{p['im']!r},{p['ker_dim']},"
                          f"{p['residual']!r}\n")
-        paths.append(path)
-    return paths
 
 
 def golden_bytes(report):
@@ -339,47 +329,29 @@ def golden_bytes(report):
 def _add_common(p, with_tasks=False):
     p.add_argument("--scenario", required=True, help="path to a .scn file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--grid", type=int, default=None,
-                   help="override the sampling grid size")
-    p.add_argument("--tol", type=float, default=None,
-                   help="replace every contract threshold")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="starting coefficient window for extension lifts")
-    p.add_argument("--format", choices=("json", "csv", "both"),
-                   default="both")
-    p.add_argument("--fail-fast", action="store_true",
-                   help="stop at the first failing task")
     if with_tasks:
         p.add_argument("--tasks", default=None,
                        help="comma list overriding the scenario task list")
 
 
-def _opts_from_args(args, forced_tasks=None):
-    tasks = forced_tasks
-    if tasks is None and getattr(args, "tasks", None):
-        tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
-        bad = [t for t in tasks if t not in TASK_NAMES and t != "all"]
-        if bad:
-            raise DualbandError(f"unknown tasks: {', '.join(bad)}")
-        if "all" in tasks:
-            tasks = TASK_NAMES
-    return {"grid": args.grid, "tol": args.tol, "cutoff": args.cutoff,
-            "tasks": tasks}
+def _task_list(text):
+    tasks = tuple(t.strip() for t in text.split(",") if t.strip())
+    bad = [t for t in tasks if t not in TASK_NAMES and t != "all"]
+    if bad:
+        raise DualbandError(f"unknown tasks: {', '.join(bad)}")
+    return TASK_NAMES if "all" in tasks else tasks
 
 
-def _cmd_run(args, forced_tasks=None):
+def _cmd_run(args, tasks=None):
     try:
         scn = parse_scenario(args.scenario)
-        # the command line wins over the scenario's [numerics]
-        for key in ("grid", "tol", "cutoff"):
-            if getattr(args, key) is None:
-                setattr(args, key, getattr(scn, key))
-        opts = _opts_from_args(args, forced_tasks)
-        report, code = run_scenario(scn, opts, fail_fast=args.fail_fast)
+        if tasks is None and getattr(args, "tasks", None):
+            tasks = _task_list(args.tasks)
+        report, code = run_scenario(scn, tasks)
     except (DualbandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    write_artifacts(report, args.out, args.format)
+    write_artifacts(report, args.out)
     for name in sorted(report["tasks"]):
         res = report["tasks"][name]
         status = "ok" if res["ok"] else "FAIL"
@@ -405,9 +377,7 @@ def _cmd_regold(args):
     for path in paths:
         try:
             scn = parse_scenario(path)
-            opts = {"grid": scn.grid, "tol": scn.tol, "cutoff": scn.cutoff,
-                    "tasks": None}
-            report, code = run_scenario(scn, opts)
+            report, code = run_scenario(scn)
         except (DualbandError, OSError) as exc:
             failures.append(f"{path}: {exc}")
             worst = 3
@@ -432,11 +402,20 @@ def _cmd_regold(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 3, the input-error code, on a usage error: exit 2 means a
+    contract was violated.  Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process: ``parse_args`` fills
     a new namespace on every call, so no option value carries over."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dualband",
         description="dual-band Toeplitz verification runner")
     sub = parser.add_subparsers(dest="command")
@@ -462,7 +441,7 @@ def main(argv=None):
         return _cmd_run(args)
     if args.command == "regold":
         return _cmd_regold(args)
-    return _cmd_run(args, forced_tasks=(args.command,))
+    return _cmd_run(args, tasks=(args.command,))
 
 
 if __name__ == "__main__":

@@ -192,13 +192,13 @@ class DualBandSpace:
         return got
 
 
-def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
-                   grid=None, tol_ortho=TOL_ORTHO, tol_unimod=TOL_UNIMOD):
+def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None):
     """Validate and assemble a dual-band space.
 
-    Realized mode (phi and psi given) checks unimodularity of both bands,
-    orthogonality of the bands over K_theta, and non-degeneracy (neither
-    band ratio is a constant multiple of theta).  When theta is a power
+    Realized mode (phi and psi given) checks, on the quadrature grid of
+    the bands, unimodularity of both bands (TOL_UNIMOD), orthogonality of
+    the bands over K_theta (TOL_ORTHO), and non-degeneracy (neither band
+    ratio is a constant multiple of theta, TOL_DEGEN).  When theta is a power
     of z the split of conj(psi) phi into co-analytic and analytic halves
     around theta is extracted by frequency bookkeeping; otherwise a
     caller-supplied split is used.  Either split must reproduce the
@@ -228,18 +228,18 @@ def build_dualband(theta, phi=None, psi=None, aplus=None, aminus=None,
     if phi is None or psi is None:
         raise ValueError("realized mode needs both phi and psi")
 
-    G = grid or basis.default_grid([phi, psi], extra_span=4)
+    G = basis.default_grid([phi, psi], extra_span=4)
     for name, band in (("phi", phi), ("psi", psi)):
         dev = float(np.max(np.abs(np.abs(band.sample(G)) - 1.0)))
         report[f"unimodular_dev_{name}"] = dev
-        if dev > tol_unimod:
+        if dev > TOL_UNIMOD:
             raise UnimodularityError(f"{name} is not unimodular: dev={dev:.3e}")
 
     fw = phi.conj() * psi
     bw = fw.conj()
     ortho = float(np.max(np.abs(tto_matrix(basis, fw, G=G).entries)))
     report["orthogonality_max_entry"] = ortho
-    if ortho > tol_ortho:
+    if ortho > TOL_ORTHO:
         raise OrthogonalityError(
             f"bands are not orthogonal: max compression entry {ortho:.3e}")
 
@@ -401,8 +401,9 @@ def unitary_equiv_check(space, g, G=None):
     return float(np.max(np.abs(T.entries - W.entries)))
 
 
-def is_zero_operator(space, g, tol=1e-10):
-    """The compression vanishes iff all four blocks vanish."""
+def is_zero_operator(space, g):
+    """The compression vanishes iff all four blocks vanish: every entry
+    at most 1e-10."""
     W = block_w(space, g)
     n = space.n
     blocks = {
@@ -410,7 +411,7 @@ def is_zero_operator(space, g, tol=1e-10):
         "lower": W.entries[n:, :n], "diag2": W.entries[n:, n:],
     }
     norms = {k: float(np.max(np.abs(v))) for k, v in blocks.items()}
-    return all(v <= tol for v in norms.values()), norms
+    return all(v <= 1e-10 for v in norms.values()), norms
 
 
 # --------------------------------------------------------------------------

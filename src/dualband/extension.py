@@ -244,7 +244,7 @@ def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
     return vec
 
 
-def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
+def kernel_project(space, vec, g=None, lam=None, G=None):
     """Extension kernel vector -> dual-band coordinates.
 
     Rejects vectors that fail the kernel residual check: the projection
@@ -262,7 +262,7 @@ def kernel_project(space, vec, g=None, lam=None, tol=TOL_KERNEL, G=None):
         F = vec.values_on(Gq)
         res = _analytic_energy(_extension_rows(space, g, lam, Gq), F)
     scale = max(vec.norm(), 1e-300)
-    if not res <= tol * scale:      # a NaN residual fails too
+    if not res <= TOL_KERNEL * scale:  # a NaN residual fails too
         raise NonKernelInputError(
             f"input has kernel residual {res:.3e} (scale {scale:.3e})")
     return space.project_bands(F)
@@ -321,12 +321,13 @@ class RangeCertificate:
     agree: bool
 
 
-def range_test(space, g, h_coords, n_ext=128, tol=1e-8):
+def range_test(space, g, h_coords, n_ext=128):
     """Decide whether h lies in the range of the compression.
 
     Decides on the direct matrix via an SVD rank cut at 1e-8 of the top
-    singular value, then cross-checks against a finite section of the
-    extension operator.
+    singular value, h being in the range when its relative distance from
+    that range is at most 1e-8, then cross-checks against a finite
+    section of the extension operator.
     """
     h = np.asarray(h_coords, dtype=complex)
     T = dualband_matrix(space, g).entries
@@ -335,7 +336,7 @@ def range_test(space, g, h_coords, n_ext=128, tol=1e-8):
     Ur = U[:, :rank]
     hn = max(float(np.linalg.norm(h)), 1e-300)
     residual = float(np.linalg.norm(h - Ur @ (Ur.conj().T @ h))) / hn
-    in_range = residual <= tol
+    in_range = residual <= 1e-8
     x = Vh.conj().T[:, :rank] @ ((Ur.conj().T @ h) / s[:rank])
 
     _, ext_residual = _section_solve(space, g, h, n_ext)

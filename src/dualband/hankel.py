@@ -48,7 +48,7 @@ class HankelNormReport:
     block: np.ndarray        # the (2n, 2n) block Hankel matrix
 
 
-def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
+def hankel_norm(space, g):
     """Operator norm of the compression through the block Hankel matrix.
 
     Requires every entry of the symbol matrix to be analytic; the
@@ -65,7 +65,7 @@ def hankel_norm(space, g, tol_analytic=TOL_ANALYTIC):
              (1, 0): "g * conj(psi) phi", (1, 1): "diagonal g"}
     for key in ((0, 0), (0, 1), (1, 0)):
         tail = _analytic_tail(entries[key])
-        if tail > tol_analytic:
+        if tail > TOL_ANALYTIC:
             raise CoefficientError(
                 f"symbol entry {names[key]} is not analytic: "
                 f"co-analytic tail {tail:.3e}")
@@ -113,14 +113,14 @@ class AnalyticSpectrumReport:
     scatter: float           # largest distance of a single dense eigenvalue
 
 
-def _triangle_side(space, tol):
+def _triangle_side(space):
     tbs = space.basis.theta_symbol.conj()
     fw, bw = space.ratios
     fw_tail = _analytic_tail(tbs * fw)
     bw_tail = _analytic_tail(tbs * bw)
-    if fw_tail <= tol:
+    if fw_tail <= TOL_ANALYTIC:
         return "lower", fw_tail, bw_tail
-    if bw_tail <= tol:
+    if bw_tail <= TOL_ANALYTIC:
         return "upper", fw_tail, bw_tail
     raise CoefficientError(
         "neither band ratio is divisible by theta "
@@ -128,7 +128,7 @@ def _triangle_side(space, tol):
         "the triangular spectrum formula does not apply")
 
 
-def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
+def analytic_spectrum(space, g):
     """Spectrum of the compression when one band ratio kills a corner.
 
     With g analytic and conj(phi) psi (or its conjugate) in
@@ -143,9 +143,9 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
     accurate to machine order.  ``scatter`` keeps the largest distance
     of a single dense eigenvalue.
     """
-    side, _, _ = _triangle_side(space, tol)
+    side, _, _ = _triangle_side(space)
     g_tail = _analytic_tail(g)
-    if g_tail > tol:
+    if g_tail > TOL_ANALYTIC:
         raise CoefficientError(
             f"g is not analytic (co-analytic tail {g_tail:.3e}); "
             "the spectral mapping needs an analytic symbol")
@@ -175,7 +175,7 @@ def analytic_spectrum(space, g, tol=TOL_ANALYTIC):
                                   float(scatter))
 
 
-def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
+def triangular_w_inverse(space, g):
     """Closed-form inverse of the triangular block matrix.
 
     For W = [[A, 0], [B, A]] the inverse is [[Ai, 0], [-Ai B Ai, Ai]]
@@ -183,7 +183,7 @@ def triangular_w_inverse(space, g, tol=TOL_ANALYTIC):
     triangle).  Returns (W_inverse, info) with the verification
     residual max |W W_inverse - I|.
     """
-    side, _, _ = _triangle_side(space, tol)
+    side, _, _ = _triangle_side(space)
     n = space.n
     W = block_w(space, g).entries
     A, B12, B21 = W[:n, :n], W[:n, n:], W[n:, :n]

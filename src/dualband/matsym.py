@@ -71,6 +71,8 @@ import numpy as np
 from .errors import GridMismatchError, SingularOperatorError
 from .symbols import fft_freqs, grid_fft, grid_points
 
+COND_CAP = 1e12
+
 
 class MatrixSymbol:
     """values[i, j] holds the samples of entry (i, j) on the shared grid."""
@@ -130,7 +132,7 @@ class MatrixSymbol:
         """Apply pointwise to a stacked vector of samples (c, G)."""
         return apply_rows(self.values, vec_values)
 
-    def _conditioned(self, what, cond_cap):
+    def _conditioned(self, what):
         """The (G, c, r) stack of pointwise inverses and its
         ``frobenius_cond`` bound.  Raises SingularOperatorError at an
         exactly singular point too."""
@@ -141,18 +143,18 @@ class MatrixSymbol:
             raise SingularOperatorError(
                 f"pointwise {what} meets a singular point") from None
         cond = frobenius_cond(what, sq_frobenius(self.values),
-                              sq_frobenius(np.moveaxis(inv, 0, 2)), cond_cap)
+                              sq_frobenius(np.moveaxis(inv, 0, 2)))
         return inv, cond
 
-    def solve_values(self, vec_values, cond_cap=1e12):
+    def solve_values(self, vec_values):
         """Pointwise solve M(z) x(z) = v(z); returns (x, condition bound)."""
-        inv, cond = self._conditioned("solve", cond_cap)
+        inv, cond = self._conditioned("solve")
         v = np.moveaxis(np.asarray(vec_values, dtype=complex), 1, 0)[..., None]
         return np.moveaxis((inv @ v)[..., 0], 0, 1), cond
 
-    def pointwise_inverse(self, cond_cap=1e12):
+    def pointwise_inverse(self):
         """Pointwise inverse symbol and its condition bound."""
-        inv, cond = self._conditioned("inverse", cond_cap)
+        inv, cond = self._conditioned("inverse")
         return MatrixSymbol(np.moveaxis(inv, 0, 2)), cond
 
     def scale_columns(self, col_values):
@@ -253,15 +255,15 @@ def add_sq(total, entry):
         return total + (entry.real * entry.real + entry.imag * entry.imag)
 
 
-def frobenius_cond(what, sq_norms, sq_inverse_norms, cond_cap=1e12):
+def frobenius_cond(what, sq_norms, sq_inverse_norms):
     """The bound max_z ||M(z)||_F * max_z ||M(z)^{-1}||_F from the
     pointwise squared norms of M and of its inverse; it lies between the
     spectral max_z s_1 / min_z s_r and r times it.  Raises
     SingularOperatorError on a non-finite bound (NaN or inf entries,
-    overflowing norms) and when the bound exceeds cond_cap."""
+    overflowing norms) and when the bound exceeds COND_CAP."""
     with np.errstate(over="ignore", invalid="ignore"):
         cond = float(np.sqrt(np.max(sq_norms) * np.max(sq_inverse_norms)))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise SingularOperatorError(
             f"pointwise {what} is ill conditioned: cond={cond:.3e}")
     return cond

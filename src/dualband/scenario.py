@@ -1,7 +1,7 @@
 """Scenario files: a sectioned key = value text format driving the CLI.
 
 A scenario describes one dual-band space, an optional operator symbol,
-a task list, and numeric overrides.  A value is read by Python's own
+a task list, and the lambdas and R factors.  A value is read by Python's own
 parser, ``ast.parse(value, mode="eval")``, once a numeral's i suffix is
 rewritten to j (same length, so columns hold), and its tree may hold
 only: decimal numerals with an optional i or j, and the names i and j;
@@ -25,10 +25,11 @@ Sections and keys:
     [tasks]     run            comma list or "all"
     [lambdas]   values         comma list of complex numbers
     [rfactors]  values         comma list of symbol expressions
-    [numerics]  grid, tol, cutoff
 
-Unknown sections or keys are rejected.  Parse errors carry line and
-column positions; a constructor's refusal of its arguments is one.
+Unknown sections or keys are rejected.  No section sets a grid or a
+tolerance: the space's rules pick every grid, and the runner's
+contracts hold every limit.  Parse errors carry line and column
+positions; a constructor's refusal of its arguments is one.
 ``[space] theta`` multiplies mono, blaschke and atomic factors and must
 be a finite Blaschke product: atomic factors are evaluation-only.
 """
@@ -53,7 +54,6 @@ _SECTION_KEYS = {
     "tasks": ("run",),
     "lambdas": ("values",),
     "rfactors": ("values",),
-    "numerics": ("grid", "tol", "cutoff"),
 }
 
 
@@ -282,13 +282,6 @@ def _parse_symbol(text, line):
     return val
 
 
-def _parse_complex(text, line):
-    val = parse_expression(text, line, mode="symbol")
-    if not isinstance(val, complex):
-        raise ScenarioError(f"line {line}: expected a number, got a symbol")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # scenario file
 
@@ -304,9 +297,6 @@ class Scenario:
     tasks: tuple = ()
     lambdas: tuple = ()
     rfactors: tuple = ()
-    grid: int = None
-    tol: float = None
-    cutoff: int = None
     digest: str = ""
     path: str = ""
 
@@ -409,22 +399,6 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     lambdas = items("lambdas", complex, "expected a number, got a symbol")
     rfactors = items("rfactors", LaurentSymbol, "rfactors must be symbols")
 
-    grid_text, grid_line = take("numerics", "grid")
-    tol_text, tol_line = take("numerics", "tol")
-    cut_text, cut_line = take("numerics", "cutoff")
-    grid = None
-    if grid_text is not None:
-        grid = _as_int_text(grid_text, grid_line, "grid")
-    tol = None
-    if tol_text is not None:
-        tol = _parse_complex(tol_text, tol_line)
-        if tol.imag != 0 or tol.real <= 0:
-            raise ScenarioError(f"line {tol_line}: tol must be positive")
-        tol = tol.real
-    cutoff = None
-    if cut_text is not None:
-        cutoff = _as_int_text(cut_text, cut_line, "cutoff")
-
     if entries:
         (section, key), (_, ln) = next(iter(entries.items()))
         raise ScenarioError(f"line {ln}: unused key {key!r} in [{section}]")
@@ -432,18 +406,10 @@ def parse_scenario_text(text, name_hint="scenario", path=""):
     scn = Scenario(name=name, theta=theta, phi=fields["phi"],
                    psi=fields["psi"], aplus=fields["aplus"],
                    aminus=fields["aminus"], g=g, tasks=tasks,
-                   lambdas=lambdas, rfactors=rfactors, grid=grid, tol=tol,
-                   cutoff=cutoff, digest=digest, path=path)
+                   lambdas=lambdas, rfactors=rfactors, digest=digest,
+                   path=path)
     check_prerequisites(scn)
     return scn
-
-
-def _as_int_text(text, line, what):
-    val = _parse_complex(text, line)
-    if val.imag != 0 or val.real != int(val.real) or val.real <= 0:
-        raise ScenarioError(f"line {line}: {what} must be a positive "
-                            "integer")
-    return int(val.real)
 
 
 def check_prerequisites(scn, tasks=None):
@@ -470,10 +436,8 @@ def parse_scenario(path):
     return parse_scenario_text(text, name_hint=name_hint, path=str(path))
 
 
-def build_space(scn, grid=None):
+def build_space(scn):
     """Assemble the dual-band space a scenario describes."""
     if scn.realized:
-        return build_dualband(scn.theta, phi=scn.phi, psi=scn.psi,
-                              grid=grid or scn.grid)
-    return build_dualband(scn.theta, aplus=scn.aplus, aminus=scn.aminus,
-                          grid=grid or scn.grid)
+        return build_dualband(scn.theta, phi=scn.phi, psi=scn.psi)
+    return build_dualband(scn.theta, aplus=scn.aplus, aminus=scn.aminus)

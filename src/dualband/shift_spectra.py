@@ -76,7 +76,11 @@ from .symbols import TAU_ROOT
 
 TOL_NULL = 1e-8
 TOL_BOUNDARY = 1e-10
+TOL_DEDUP = 1e-8
+TOL_DET = 1e-9
 ADC_BLOWUP = 1e3
+ADC_LEVELS = 5
+RADIAL_LEVELS = 16
 
 
 def spectral_key(lam):
@@ -140,12 +144,12 @@ def _region(lam):
     return "outside"
 
 
-def _nullspace_2x2(m, tol=TOL_NULL):
+def _nullspace_2x2(m):
     """(nullities, basis rows) of a (p, 2, 2) stack of complex matrices,
     by one SVD call: an int array and a list of p (k, 2) arrays."""
     _, s, Vh = np.linalg.svd(m)
     scale = np.maximum(s[:, 0], 1.0)
-    nullity = np.sum(s <= tol * scale[:, None], axis=-1)
+    nullity = np.sum(s <= TOL_NULL * scale[:, None], axis=-1)
     return nullity, [np.conj(v[2 - k:, :]) for k, v in zip(nullity, Vh)]
 
 
@@ -229,7 +233,7 @@ def eigvec_build(space, lam):
 # closed-form point spectrum
 # --------------------------------------------------------------------------
 
-def solve_theta_equals(theta, w, tol=TAU_ROOT):
+def solve_theta_equals(theta, w):
     """All solutions of theta(lam) = w in the plane (finite Blaschke).
 
     On theta = c z^n (``is_monomial``) they are the n-th roots of w / c,
@@ -254,7 +258,8 @@ def solve_theta_equals(theta, w, tol=TAU_ROOT):
         if len(p) < 2:
             return np.zeros(0, dtype=complex)
         roots = np.roots(p).astype(complex)
-    ok = np.abs(theta.eval_at(roots) - w) <= max(tol, 1e-9 * max(1.0, abs(w)))
+    ok = np.abs(theta.eval_at(roots) - w) <= max(TAU_ROOT,
+                                                  1e-9 * max(1.0, abs(w)))
     return roots[ok]
 
 
@@ -277,10 +282,12 @@ def _exterior_targets(c):
     return [complex(np.conj(c.tbar - s)), complex(np.conj(c.tbar + s))]
 
 
-def _dedup(values, tol=1e-8):
-    """values without any that lie within tol of an earlier kept one."""
+def _dedup(values):
+    """values without any that lie within TOL_DEDUP of an earlier kept
+    one."""
     values = np.asarray(values, dtype=complex)
-    near = np.tril(np.abs(values[:, None] - values[None, :]) <= tol, -1)
+    near = np.tril(np.abs(values[:, None] - values[None, :]) <= TOL_DEDUP,
+                   -1)
     keep = ~near.any(axis=1)
     # a value with a near earlier one is dropped only when one of those
     # was kept; in increasing order every earlier verdict is final
@@ -423,18 +430,18 @@ class AdcResult:
     consistent: bool
 
 
-def adc_test(theta, zeta, levels=5):
+def adc_test(theta, zeta):
     """Angular-derivative diagnostics at a boundary point.
 
     The squared norm of the difference quotient of theta at w equals
     (1 - |theta(w)|^2) / (1 - |w|^2) exactly, so radial divergence of
     that quantity along w = r zeta witnesses the absence of an angular
     derivative without any quadrature.  Radii approach the circle in
-    factor-16 steps.
+    ADC_LEVELS factor-16 steps.
     """
     zeta = complex(zeta) / abs(complex(zeta))
     norms = []
-    for k in range(levels):
+    for k in range(ADC_LEVELS):
         r = 1.0 - 2.0 ** (-(4 * k + 6))
         w = r * zeta
         tv = theta.eval_at(w)
@@ -446,7 +453,7 @@ def adc_test(theta, zeta, levels=5):
     return AdcResult(rule, norms, diverging, rule == (not diverging))
 
 
-def essential_spectrum(theta_or_space, radial_levels=16):
+def essential_spectrum(theta_or_space):
     """Boundary points where the inner function clusters to zero.
 
     Returns (points, evidence): for each candidate from the structural
@@ -457,7 +464,7 @@ def essential_spectrum(theta_or_space, radial_levels=16):
     """
     theta = getattr(theta_or_space, "theta", theta_or_space)
     pts = theta.boundary_spectrum()
-    rs = 1.0 - 2.0 ** (-np.arange(3, 3 + radial_levels, dtype=float))
+    rs = 1.0 - 2.0 ** (-np.arange(3, 3 + RADIAL_LEVELS, dtype=float))
     evidence = {}
     for zeta in pts:
         evidence[complex(zeta)] = float(min(abs(theta.eval_at(r * zeta))
@@ -476,7 +483,7 @@ class ClassifyResult:
     notes: str = ""
 
 
-def classify(space, lam, tol_det=1e-9):
+def classify(space, lam):
     """Place one point of the plane against the shift compression.
 
     Inside and outside, the verdict follows the sign of the matching
@@ -495,7 +502,7 @@ def classify(space, lam, tol_det=1e-9):
             return ClassifyResult(lam, region, "essential", 0j, 0, adc,
                                   "no angular derivative at this direction")
     d = delta_tilde(space, lam) if region == "outside" else delta(space, lam)
-    if abs(d) <= tol_det:
+    if abs(d) <= TOL_DET:
         vecs = eigvec_build(space, lam)
         return ClassifyResult(lam, region, "eigenvalue", d,
                               vecs.shape[0], adc)

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualband.cli as cli
 from dualband.cli import _check, golden_bytes, main
 
 SCN_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
@@ -96,9 +98,10 @@ class TestRun:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_impossible_tolerance_exit_two(self, tmp_path):
+    def test_impossible_tolerance_exit_two(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.CONTRACTS, "validate", 1e-20)
         code = main(["run", "--scenario", NILPOTENT, "--out", str(tmp_path),
-                     "--tol", "1e-20", "--tasks", "validate"])
+                     "--tasks", "validate"])
         assert code == 2
         rep = read_json(tmp_path / "nilpotent.report.json")
         assert not rep["tasks"]["validate"]["ok"]
@@ -118,43 +121,57 @@ class TestRun:
             (b / "nilpotent.eigs.csv").read_bytes()
 
 
-class TestNumericsGrid:
-    """A scenario's [numerics] grid reaches the tasks; --grid wins."""
+class TestUsage:
+    """A usage error exits 3, the input-error code; 2 is kept for a
+    violated contract."""
 
-    @pytest.mark.parametrize("command, flags, want", [
-        ("run", [], 8192),
-        ("regold", [], 8192),
-        ("run", ["--grid", "4096"], 4096),
+    TWIST = os.path.join(SCN_DIR, "blaschke_twist.scn")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", TWIST, "--grid", "32", "--tol", "1"],
+        ["run", "--scenario", TWIST, "--grid", "16"],
+        ["run", "--scenario", TWIST, "--grid", "8"],
+        ["run", "--scenario", TWIST, "--cutoff", "64"],
+        ["run", "--scenario", TWIST, "--format", "json"],
+        ["run", "--scenario", TWIST, "--fail-fast"],
+        ["spectrum", "--scenario", TWIST, "--grid", "4096"],
+        ["regold", SCN_DIR, "--tol", "1"],
     ])
-    def test_grid_reaches_factorize(self, tmp_path, monkeypatch, command,
-                                    flags, want):
-        import dualband.cli as cli
-        seen = []
-        real = cli.canonical_factors
+    def test_removed_flag_exits_three(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dualband")
+        assert "unrecognized arguments" in err
+        assert not os.listdir(tmp_path)
 
-        def recording(space, lam, G=None):
-            seen.append(G)
-            return real(space, lam, G=G)
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["run", "--out", "."], ["kernel"], ["regold"],
+        ["bogus"], []])
+    def test_missing_argument_exits_three(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "canonical_factors", recording)
-        text = Path(NILPOTENT).read_text(encoding="utf-8")
-        text = text.replace("run = all", "run = factorize")
-        text = text.replace("[tasks]", "[numerics]\ngrid = 8192\n\n[tasks]")
-        scn = tmp_path / "gridded.scn"
-        scn.write_text(text, encoding="utf-8")
-        out = str(tmp_path / "out")
-        if command == "run":
-            argv = ["run", "--scenario", str(scn), "--out", out] + flags
-        else:
-            argv = ["regold", str(tmp_path), "--out", out]
-        assert main(argv) == 0
-        assert seen and set(seen) == {want}
+    @pytest.mark.parametrize("command, want", [
+        ("run", {"--scenario", "--out", "--tasks"}),
+        ("factorize", {"--scenario", "--out"}),
+        ("regold", {"--out"}),
+    ])
+    def test_help_exits_zero_and_lists_the_options(self, capsys, command,
+                                                   want):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == want | {"--help"}
 
 
 class TestFactorsBuiltOnce:
     def test_one_build_per_space_lambda_grid(self, tmp_path, monkeypatch):
         # the resolvent task solves with the factorize task's factors
-        import dualband.cli as cli
         import dualband.factorization as fz
         builds = []
         real = fz.canonical_factors
@@ -180,7 +197,6 @@ class TestResultsPassedAlong:
     def spectra(self, monkeypatch):
         """The cross_check flag of every point_spectrum call the CLI
         makes."""
-        import dualband.cli as cli
         calls = []
         real = cli.point_spectrum
 
@@ -236,9 +252,14 @@ class TestResultsPassedAlong:
     def test_calls_share_no_option_values(self, tmp_path):
         # the parser is built once per process; options are not
         assert main(["run", "--scenario", NILPOTENT, "--out", str(tmp_path),
-                     "--tol", "1e-20"]) == 2
+                     "--tasks", "validate"]) == 0
+        rep = read_json(tmp_path / "nilpotent.report.json")
+        assert list(rep["tasks"]) == ["validate"]
         assert main(["run", "--scenario", NILPOTENT,
                      "--out", str(tmp_path)]) == 0
+        rep = read_json(tmp_path / "nilpotent.report.json")
+        assert set(rep["tasks"]) == {"validate", "spectrum", "kernel",
+                                     "factorize", "resolvent", "norm"}
 
 
 class TestSugar:
@@ -269,11 +290,11 @@ class TestRegold:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_refuses_on_failure(self, tmp_path, capsys):
+    def test_refuses_on_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.CONTRACTS, "validate", 1e-20)
         scn_dir = tmp_path / "scn"
         scn_dir.mkdir()
         text = Path(NILPOTENT).read_text(encoding="utf-8")
-        text = text.replace("[tasks]", "[numerics]\ntol = 1e-16\n\n[tasks]")
         (scn_dir / "doomed.scn").write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         code = main(["regold", str(scn_dir), "--out", str(out)])
@@ -303,7 +324,6 @@ class TestNonFiniteResidual:
         assert violations == want
 
     def test_nan_minus_factor_fails_factorize(self, tmp_path, monkeypatch):
-        import dualband.cli as cli
         real = cli.canonical_factors
 
         def planted(space, lam, G=None):
@@ -324,7 +344,6 @@ class TestNonFiniteResidual:
             assert key in text
 
     def test_nan_norm_fails_norm(self, tmp_path, monkeypatch):
-        import dualband.cli as cli
         real = cli.hankel_norm
 
         def planted(space, g):

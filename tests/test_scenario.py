@@ -33,11 +33,6 @@ values = 0.3, 0.5 + 0.4i, 2.0
 
 [rfactors]
 values = poly([-0.3, 1]), poly([1, -2.5, 1])
-
-[numerics]
-grid = 2048
-tol = 1e-9
-cutoff = 64
 """
 
 FREE = """
@@ -137,9 +132,6 @@ class TestSections:
         assert scn.lambdas == (0.3 + 0j, 0.5 + 0.4j, 2.0 + 0j)
         assert len(scn.rfactors) == 2
         assert scn.rfactors[1].support() == (0, 2)
-        assert scn.grid == 2048
-        assert scn.tol == pytest.approx(1e-9)
-        assert scn.cutoff == 64
 
     def test_task_dedup_keeps_order(self):
         text = NILPOTENT.replace("run = all", "run = norm, all, norm")
@@ -228,15 +220,17 @@ class TestSections:
         with pytest.raises(ScenarioError, match="a number or a symbol"):
             parse_scenario_text(NILPOTENT.replace(old, new))
 
-    def test_bad_tol(self):
-        text = NILPOTENT.replace("tol = 1e-9", "tol = -1e-9")
-        with pytest.raises(ScenarioError, match="tol must be positive"):
-            parse_scenario_text(text)
-
-    def test_bad_grid(self):
-        text = NILPOTENT.replace("grid = 2048", "grid = 12.5")
-        with pytest.raises(ScenarioError, match="grid must be a positive"):
-            parse_scenario_text(text)
+    def test_numerics_section_exits_three(self, tmp_path, capsys):
+        # the space's rules pick every grid and the runner's contracts
+        # hold every limit; no section overrides either
+        bad = tmp_path / "gridded.scn"
+        bad.write_text(NILPOTENT + "\n[numerics]\ngrid = 4096\n",
+                       encoding="utf-8")
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 3
+        assert "error: line 22: unknown section [numerics]" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "nilpotent.report.json").exists()
 
 
 class TestPrerequisites:
