@@ -57,23 +57,19 @@ def _check(violations, label, value, limit, where=""):
         violations.append(f"{label} {value:.3e}{at} exceeds {limit:.3e}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
+def _json_default(obj):
+    """JSON form of what ``json`` cannot write itself: numpy scalars as
+    Python ones, a complex as [re, im], an array as its list."""
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if obj is None or isinstance(obj, str):
-        return obj
+        return obj.tolist()
     return repr(obj)
 
 
@@ -304,7 +300,8 @@ def write_artifacts(report, out_dir):
     name = report["name"]
     with open(os.path.join(out_dir, f"{name}.report.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2,
+                  default=_json_default)
         fh.write("\n")
     spectrum = report["tasks"].get("spectrum")
     if spectrum and "points" in spectrum:
@@ -319,8 +316,8 @@ def write_artifacts(report, out_dir):
 def golden_bytes(report):
     """Report serialization with the timing block removed."""
     body = {k: v for k, v in report.items() if k != "timings"}
-    return (json.dumps(_jsonable(body), sort_keys=True, indent=2) +
-            "\n").encode("utf-8")
+    return (json.dumps(body, sort_keys=True, indent=2,
+                       default=_json_default) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +410,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser():
-    """The argument parser, built once per process: ``parse_args`` fills
-    a new namespace on every call, so no option value carries over."""
+    """The argument parser and its subcommand parsers by name, built once
+    per process: parsing fills a new namespace on every call, so no
+    option value carries over."""
     parser = _ArgumentParser(
         prog="dualband",
         description="dual-band Toeplitz verification runner")
@@ -432,11 +430,16 @@ def _parser():
         "regold", help="rebuild golden reports for a scenario directory")
     regold_p.add_argument("directory")
     regold_p.add_argument("--out", default=None)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    # leftover arguments are the chosen subcommand's usage error
+    args, rest = parser.parse_known_args(argv)
+    if rest:
+        commands[args.command].error(
+            f"unrecognized arguments: {' '.join(rest)}")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "regold":

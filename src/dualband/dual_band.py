@@ -311,9 +311,9 @@ def _extract_split_monomial(ratio_bw, n):
 # compressions
 # --------------------------------------------------------------------------
 
-def pm_apply(space, f, G=None):
+def pm_apply(space, f):
     """Coordinates of the orthogonal projection of f onto the space."""
-    G = G or space.default_grid([f])
+    G = space.default_grid([f])
     B = space.band_values(G)
     return (B.conj() @ f.sample(G)) / G
 
@@ -394,10 +394,10 @@ def shift_quadrature_residual(space):
     return float(np.max(np.abs(space.shift_matrix() - Q)))
 
 
-def unitary_equiv_check(space, g, G=None):
+def unitary_equiv_check(space, g):
     """max |direct dual-band matrix - assembled block matrix|."""
-    T = dualband_matrix(space, g, G=G)
-    W = block_w(space, g, G=G)
+    T = dualband_matrix(space, g)
+    W = block_w(space, g)
     return float(np.max(np.abs(T.entries - W.entries)))
 
 
@@ -418,10 +418,10 @@ def is_zero_operator(space, g):
 # the antilinear symmetry
 # --------------------------------------------------------------------------
 
-def cm_matrix(space, G=None):
+def cm_matrix(space):
     """J with C(v) = J conj(v): block antidiagonal swap of the two bands
     composed with the model-space conjugation in each."""
-    R = ctheta_matrix(space.basis, G=G)
+    R = ctheta_matrix(space.basis)
     n = space.n
     J = np.zeros((2 * n, 2 * n), dtype=complex)
     J[:n, n:] = R
@@ -429,10 +429,10 @@ def cm_matrix(space, G=None):
     return J
 
 
-def cm_symmetry_residual(space, g, G=None):
+def cm_symmetry_residual(space, g):
     """max |T J - J T^t|; zero exactly when T C = C T*."""
-    T = dualband_matrix(space, g, G=G).entries
-    J = cm_matrix(space, G=G)
+    T = dualband_matrix(space, g).entries
+    J = cm_matrix(space)
     return float(np.max(np.abs(T @ J - J @ T.T)))
 
 

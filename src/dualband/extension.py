@@ -209,19 +209,20 @@ class _LiftRecord:
                 and np.array_equal(self.window, comps))
 
 
-def kernel_lift(space, coords, g=None, lam=None, n_ext=128, G=None):
+def kernel_lift(space, coords, g=None, lam=None, n_ext=128):
     """Lift dual-band kernel coordinates to the extension kernel.
 
     The first two components are the band projections of the input; the
     last two are minus the analytic parts of conj(theta) times the third
     and fourth symbol rows applied to them.  The window doubles until its
-    upper half carries no energy.  One (4, G) block holds the samples,
-    then their coefficients, then the window's samples for the residual
-    check.  The vector records what its residual was checked on
-    (``_LiftRecord``), for ``kernel_project``.
+    upper half carries no energy, and each window takes the extension
+    rule's grid.  One (4, G) block holds the samples, then their
+    coefficients, then the window's samples for the residual check.  The
+    vector records what its residual was checked on (``_LiftRecord``),
+    for ``kernel_project``.
     """
     while True:
-        Gq = G or space.extension_grid(g, n_ext)
+        Gq = space.extension_grid(g, n_ext)
         rows = _extension_rows(space, g, lam, Gq)
         S = np.empty((4, Gq), dtype=complex)
         S[:2] = space.synth_bands(coords, Gq)
@@ -348,18 +349,18 @@ def range_test(space, g, h_coords, n_ext=128):
 # adjoint kernels
 # --------------------------------------------------------------------------
 
-def adjoint_kernel_map(space, vec, g=None, lam=None, G=None):
+def adjoint_kernel_map(space, vec, g=None, lam=None):
     """Kernel of the extension -> kernel of its adjoint.
 
     F+ in the kernel has a co-analytic partner F- = G F+.  The reflected
     vector conj(z) * conj(F-) is analytic, and its signed component swap
-    lies in the kernel of the adjoint symbol.  Returns the swapped vector
+    lies in the kernel of the adjoint symbol.  Works on the vector's grid
+    in meta, else on the extension rule's.  Returns the swapped vector
     with its adjoint-side residual in meta.
     """
-    Gq = G or vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
+    Gq = vec.meta.get("grid") or space.extension_grid(g, vec.n_ext)
     Gsym = build_G(space, g=g, lam=lam, G=Gq)
-    F = vec.values_on(Gq)
-    Fm = Gsym.matvec_values(F)
+    Fm = apply_rows(Gsym.values, vec.values_on(Gq))
     zb = np.conj(grid_points(Gq))
     psi_plus = np.conj(Fm) * zb
     X = grid_fft(PI2 @ psi_plus)

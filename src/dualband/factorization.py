@@ -74,9 +74,10 @@ and four times it.  ``resolvent_apply`` warns when ``cond_minus`` times
 eps exceeds ``COND_WARN``, the resolvent contract, which the CLI counts
 as a violation.
 
-Grids: without an explicit G every factorization is gridded by the
-extension rule, ``DualBandSpace.extension_grid``: the space's quadrature
-grid (``DualBandSpace.default_grid`` over ``symbols.choose_grid``) with
+Grids: without a G from its caller (``l2_factors`` takes none) every
+factorization is gridded by the extension rule,
+``DualBandSpace.extension_grid``: the space's quadrature grid
+(``DualBandSpace.default_grid`` over ``symbols.choose_grid``) with
 eight more frequencies of span.  The R family passes R, so R's span
 counts; the shift family z - lam passes nothing.  No floor is needed for
 the lam-dependent profiles: the difference quotient
@@ -98,7 +99,7 @@ import numpy as np
 from .errors import EigenvalueEncounteredError, NoAdcError
 from .extension import _split_form_rows, split_form_symbol
 from .matsym import (MatrixSymbol, add_sq, apply_rows, frobenius_cond,
-                     monomial_diag_values, sq_frobenius)
+                     sq_frobenius)
 from .shift_spectra import _region, delta, delta_tilde, shift_constants
 from .symbols import (LaurentSymbol, analytic_project_values,
                       difference_quotient, grid_points)
@@ -405,7 +406,7 @@ def hminus_split(space, R, G=None):
 # L^2 factorization of the triangular remainder
 # --------------------------------------------------------------------------
 
-def l2_factors(space, lam, G=None):
+def l2_factors(space, lam):
     """Unbounded canonical factorization of the triangular remainder.
 
     Works for lam in the closed disc (boundary points need an angular
@@ -421,7 +422,7 @@ def l2_factors(space, lam, G=None):
         raise NoAdcError(
             f"no angular derivative at {lam}: the difference quotient "
             "does not belong to the model space")
-    G = G or space.extension_grid()
+    G = space.extension_grid()
     z = grid_points(G)
     th = space.theta.sample(G)
     tb = np.conj(th)
@@ -522,8 +523,9 @@ def verify_factorization(res):
     lhs = res.symbol.matmul(res.plus_inverse)
     rhs = res.minus
     if any(res.diag_powers):
-        rhs = rhs.scale_columns(
-            monomial_diag_values(res.diag_powers, res.grid))
+        z = grid_points(res.grid)
+        rhs = MatrixSymbol(rhs.values * np.array(
+            [z ** k for k in res.diag_powers]))
     out = {"identity_residual": lhs.max_abs_diff(rhs)}
 
     out["plus_cond"] = frobenius_cond(

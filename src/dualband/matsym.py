@@ -26,11 +26,11 @@ set saves kernel time as well as memory.
 
 One routine applies a symbol to a stack of sample vectors,
 ``apply_rows``: entry by entry over whole sample rows, skipping every
-number 0 of a literal.  ``MatrixSymbol.matvec_values`` is that routine
-on the stack.  One routine sums pointwise squared Frobenius norms,
-``sq_frobenius``: a literal entry by entry in row-major order, a stack
-by one numpy sum over its leading axes, which adds in the same order,
-so a literal and its stack give the same bits.
+number 0 of a literal; a stack is applied through its ``values``.  One
+routine sums pointwise squared Frobenius norms, ``sq_frobenius``: a
+literal entry by entry in row-major order, a stack by one numpy sum
+over its leading axes, which adds in the same order, so a literal and
+its stack give the same bits.
 
 The factor path takes no pointwise inverse: every factorization in
 :mod:`dualband.factorization` stores its plus factor P = X^{-1} in
@@ -69,7 +69,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMismatchError, SingularOperatorError
-from .symbols import fft_freqs, grid_fft, grid_points
+from .symbols import fft_freqs, grid_fft
 
 COND_CAP = 1e12
 
@@ -128,10 +128,6 @@ class MatrixSymbol:
                     out[i, l] += term
         return MatrixSymbol(out)
 
-    def matvec_values(self, vec_values):
-        """Apply pointwise to a stacked vector of samples (c, G)."""
-        return apply_rows(self.values, vec_values)
-
     def _conditioned(self, what):
         """The (G, c, r) stack of pointwise inverses and its
         ``frobenius_cond`` bound.  Raises SingularOperatorError at an
@@ -156,13 +152,6 @@ class MatrixSymbol:
         """Pointwise inverse symbol and its condition bound."""
         inv, cond = self._conditioned("inverse")
         return MatrixSymbol(np.moveaxis(inv, 0, 2)), cond
-
-    def scale_columns(self, col_values):
-        """Right-multiply by diag(col_values[j]) of per-column samples."""
-        out = self.values.copy()
-        for j in range(self.shape[1]):
-            out[:, j, :] *= col_values[j]
-        return MatrixSymbol(out)
 
     # ------------------------------------------------------------ analysis
     def det_values(self):
@@ -269,11 +258,5 @@ def frobenius_cond(what, sq_norms, sq_inverse_norms):
     return cond
 
 
-def monomial_diag_values(powers, G):
-    """Samples of diag(z^k) for the given integer powers."""
-    z = grid_points(G)
-    return [z ** int(k) for k in powers]
-
-
 __all__ = ["MatrixSymbol", "add_sq", "apply_rows", "frobenius_cond",
-           "monomial_diag_values", "sq_frobenius"]
+           "sq_frobenius"]

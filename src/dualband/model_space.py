@@ -65,7 +65,7 @@ class ModelSpaceBasis:
         if theta.zeros.size < 1:
             raise ValueError("theta must have degree at least one")
         self.theta = theta
-        self.theta_symbol = theta.as_symbol()   # exact rational form, built once
+        self.theta_symbol = theta.as_symbol()   # exact form, built once
         self.zeros = theta.zeros
         self.n = theta.zeros.size
         self.is_monomial = theta.is_monomial

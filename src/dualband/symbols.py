@@ -4,8 +4,10 @@ Two families of objects:
 
 * ``LaurentSymbol``, a function on the circle held exactly in one of two
   forms: a finite Laurent expansion, or a rational expression
-  ``z^shift * num(z) / den(z)``.  Products, sums and circle conjugates
-  stay exact; numbers combine as constant symbols (``as_symbol``).
+  ``z^shift * num(z) / den(z)`` whose denominator is never a constant
+  (over a constant c it is the Laurent polynomial num / c).  Products,
+  sums and circle conjugates stay exact; numbers combine as constant
+  symbols (``as_symbol``).
 
 * ``InnerFunction``, one flat record of an inner function: a unimodular
   ``const``, the Blaschke ``zeros`` and the atomic mass ``points``
@@ -27,11 +29,12 @@ unscaled transform, without a second pass over the array.
 Quadrature means the plain grid average, which integrates trigonometric
 polynomials below the Nyquist frequency exactly.
 
-Two grid rules pick ``G`` when the caller does not:
+Two grid rules pick ``G`` when the caller does not, and both read each
+polynomial, theta = const z^n's own symbol included, by its span:
 
 * The dense quadrature rule, ``choose_grid`` here, read through
   ``ModelSpaceBasis.default_grid`` and ``DualBandSpace.default_grid``:
-  exact Laurent operands add their spans; a rational refines from its
+  Laurent operands add their spans; a rational refines from its
   own first grid, the power of two at or above eight times its
   |shift| + num.size + den.size, and the result takes one extra
   doubling.  The trapezoidal rule converges geometrically for a
@@ -148,7 +151,7 @@ def _trim(arr):
 
 def _check_den(den, root_check=True):
     den, lead = _trim(den)
-    if lead:
+    if lead or den[0] == 0:
         raise PoleError("denominator vanishes at z = 0")
     if root_check and den.size > 1:
         # a tiny leading coefficient overflows the companion matrix; that
@@ -180,7 +183,9 @@ class LaurentSymbol:
     kind == "laurent":  value = sum coeffs[i] * z**(offset + i)
     kind == "rational": value = z**shift * num(z) / den(z)
 
-    A rational built from given coefficients (``rational``, or the
+    A rational whose trimmed denominator is a constant c is built as the
+    laurent kind, coefficients num / c; c = 0 raises PoleError.  Any
+    other rational built from given coefficients (``rational``, or the
     constructor) root-checks its denominator: no root may lie within
     TAU_ROOT of the circle, else PoleError.  A binomial d0 + dm z^m has
     every root at modulus |d0 / dm|^(1/m); any other denominator goes
@@ -200,17 +205,19 @@ class LaurentSymbol:
 
     def __init__(self, kind, coeffs=None, offset=0, num=None, den=None,
                  shift=0, _root_check=True):
-        self.kind = kind
         self._samples = {}
+        if kind == "rational":
+            num, lead = _trim(num)
+            den = _check_den(den, _root_check)
+            if den.size == 1:   # num / c is a Laurent polynomial
+                kind, coeffs, offset = "laurent", num / den[0], shift + lead
+            else:
+                self.num, self.shift, self.den = num, int(shift) + lead, den
+        self.kind = kind
         if kind == "laurent":
             self.coeffs, lead = _trim(coeffs)
             self.offset = int(offset) + lead
-        elif kind == "rational":
-            num, lead = _trim(num)
-            self.num = num
-            self.shift = int(shift) + lead
-            self.den = _check_den(den, _root_check)
-        else:
+        elif kind != "rational":
             raise ValueError(f"unknown symbol kind {kind!r}")
 
     # ---------------------------------------------------------------- build
@@ -312,10 +319,9 @@ class LaurentSymbol:
         if a.kind == "laurent" and b.kind == "laurent":
             return LaurentSymbol.from_coeffs(
                 np.convolve(a.coeffs, b.coeffs), a.offset + b.offset)
-        ar, br = a._as_rational(), b._as_rational()
+        (an, ad, ash), (bn, bd, bsh) = a._fraction(), b._fraction()
         return LaurentSymbol._derived(
-            np.convolve(ar.num, br.num), np.convolve(ar.den, br.den),
-            ar.shift + br.shift)
+            np.convolve(an, bn), np.convolve(ad, bd), ash + bsh)
 
     __rmul__ = __mul__
 
@@ -328,15 +334,15 @@ class LaurentSymbol:
             out[a.offset - lo:a.offset - lo + a.coeffs.size] += a.coeffs
             out[b.offset - lo:b.offset - lo + b.coeffs.size] += b.coeffs
             return LaurentSymbol.from_coeffs(out, lo)
-        ar, br = a._as_rational(), b._as_rational()
-        m = min(ar.shift, br.shift)
-        left = np.convolve(ar.num, br.den)
-        right = np.convolve(br.num, ar.den)
-        width = max(ar.shift - m + left.size, br.shift - m + right.size)
+        (an, ad, ash), (bn, bd, bsh) = a._fraction(), b._fraction()
+        m = min(ash, bsh)
+        left = np.convolve(an, bd)
+        right = np.convolve(bn, ad)
+        width = max(ash - m + left.size, bsh - m + right.size)
         num = np.zeros(width, dtype=complex)
-        num[ar.shift - m:ar.shift - m + left.size] += left
-        num[br.shift - m:br.shift - m + right.size] += right
-        return LaurentSymbol._derived(num, np.convolve(ar.den, br.den), m)
+        num[ash - m:ash - m + left.size] += left
+        num[bsh - m:bsh - m + right.size] += right
+        return LaurentSymbol._derived(num, np.convolve(ad, bd), m)
 
     __radd__ = __add__
 
@@ -357,10 +363,11 @@ class LaurentSymbol:
         shift = -(self.shift + self.num.size - 1) + (self.den.size - 1)
         return LaurentSymbol._derived(num, den, shift)
 
-    def _as_rational(self):
+    def _fraction(self):
+        """(num, den, shift); a Laurent polynomial is over 1."""
         if self.kind == "rational":
-            return self
-        return LaurentSymbol._derived(self.coeffs, [1.0], self.offset)
+            return self.num, self.den, self.shift
+        return self.coeffs, np.ones(1, dtype=complex), self.offset
 
     # ----------------------------------------------------------- analysis
     def tail_energy(self, band, G=None):
@@ -616,7 +623,10 @@ class InnerFunction:
         return num, den
 
     def as_symbol(self):
-        """Exact rational LaurentSymbol (finite Blaschke content only)."""
+        """Exact LaurentSymbol (finite Blaschke content only): const z^n
+        itself when ``is_monomial``, else the rational N / D."""
+        if self.is_monomial:
+            return LaurentSymbol.monomial(self.zeros.size, self.const)
         return LaurentSymbol.rational(*self.polynomials())
 
     def __repr__(self):

@@ -136,14 +136,16 @@ class TestUsage:
         ["run", "--scenario", TWIST, "--fail-fast"],
         ["spectrum", "--scenario", TWIST, "--grid", "4096"],
         ["regold", SCN_DIR, "--tol", "1"],
+        ["factorize", "--scenario", TWIST, "--bogus"],
     ])
     def test_removed_flag_exits_three(self, tmp_path, capsys, argv):
+        # the subcommand's own usage and prog name, not the top level's
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 3
         err = capsys.readouterr().err
-        assert err.startswith("usage: dualband")
-        assert "unrecognized arguments" in err
+        assert re.match(rf"usage: dualband {argv[0]}\s", err)
+        assert f"dualband {argv[0]}: error: unrecognized arguments" in err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("argv", [

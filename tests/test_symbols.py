@@ -8,6 +8,7 @@ import pytest
 from dualband import (CoefficientError, InnerFunction, LaurentSymbol,
                       ModelSpaceBasis, PoleError, solve_theta_equals)
 from dualband.dual_band import build_dualband
+from dualband.scenario import parse_expression
 from dualband.symbols import (GRID_CAP, TAU_EVAL, TAU_ROOT,
                               analytic_project_values, choose_grid,
                               difference_quotient, fft_freqs, grid_fft,
@@ -276,6 +277,47 @@ class TestDenominatorCheck:
             assert ref.shift == s.shift
             for G in (64, 4096):
                 assert s.sample(G).tobytes() == ref.sample(G).tobytes()
+
+
+A_NUM = np.array([1.0, -0.5j, 0.25])
+B = LaurentSymbol.from_coeffs({-1: 0.3j, 2: 1.0})
+AB_NUM = np.convolve(A_NUM, B.coeffs)
+C_THETA = np.exp(0.3j)
+
+
+class TestConstantDenominator:
+    """A rational over a constant c is the Laurent polynomial num / c.
+    Each row gives the rational form the object had before: its samples
+    are that form's bits, and its span sizes its grid."""
+
+    @pytest.mark.parametrize("build, num, den, shift", [
+        (lambda: LaurentSymbol.rational(A_NUM, [2.0], -1), A_NUM, [2.0], -1),
+        (lambda: LaurentSymbol.rational([0.5, 1.0], [1.0, 0.0, 0.0]),
+         [0.5, 1.0], [1.0], 0),
+        (lambda: LaurentSymbol.rational(A_NUM, [2.0], -1) * B,
+         AB_NUM, [2.0], -2),
+        (lambda: (LaurentSymbol.rational(A_NUM, [2.0], -1) * B).conj(),
+         np.conj(AB_NUM[::-1]), [2.0], -(AB_NUM.size - 3)),
+        (lambda: parse_expression("rat([0.75, 0, -0.5], [1], 2)"),
+         [0.75, 0.0, -0.5], [1.0], 2),
+        (lambda: InnerFunction.monomial(5).as_symbol(), [1.0], [1.0], 5),
+        (lambda: InnerFunction.blaschke([0.0] * 3, const=C_THETA).as_symbol(),
+         *InnerFunction.blaschke([0.0] * 3, const=C_THETA).polynomials(), 0),
+    ], ids=["rational", "trailing-zeros", "product", "conj", "scenario-rat",
+            "inner-monomial", "inner-monomial-const"])
+    def test_laurent_kind_with_the_rational_bits(self, build, num, den,
+                                                 shift):
+        sym = build()
+        assert sym.kind == "laurent"
+        for G in (16, 64, 1024):
+            want = folded(num, shift, G) / folded(den, 0, G)
+            assert same_bits(sym.sample(G), want)
+        # the span rule's floor, where the rational forms took 64 to 256
+        assert choose_grid([sym]) == 64
+
+    def test_constant_zero_denominator_raises(self):
+        with pytest.raises(PoleError, match="vanishes at z = 0"):
+            LaurentSymbol.rational([1.0], [0.0])
 
 
 class TestSplitAndTails:
